@@ -134,6 +134,25 @@ void EvictFromPageCache(const std::string& path) {
   ::close(fd);
 }
 
+/// Forwards scans to a paged source without the prune spec the executor
+/// installs, so the selective-condition arm has an unpruned reference.
+class UnprunedSource final : public optrules::storage::BatchSource {
+ public:
+  explicit UnprunedSource(optrules::storage::BatchSource* inner)
+      : inner_(inner) {}
+  int num_numeric() const override { return inner_->num_numeric(); }
+  int num_boolean() const override { return inner_->num_boolean(); }
+  int64_t NumTuples() const override { return inner_->NumTuples(); }
+
+ protected:
+  std::unique_ptr<optrules::storage::BatchReader> DoCreateReader() override {
+    return inner_->CreateReader();
+  }
+
+ private:
+  optrules::storage::BatchSource* inner_;
+};
+
 }  // namespace
 
 int main() {
@@ -281,83 +300,69 @@ int main() {
 
   // ---- out-of-core: PagedFile scan ------------------------------------
   // Two shapes, cold page cache per rep: a2/c0 is prefetch-bound (light
-  // kernel, the read dominates), a8/c3 is compute-bound (the overlap hides
-  // the whole read). Sync vs double-buffered over identical pages must
-  // produce identical counts, as must the columnar v2 layout (the default;
-  // zero-transpose reads) vs the row-major v1 reference copy.
+  // kernel, the read dominates), a8/c3 is compute-bound (the prefetch
+  // overlap hides the whole read). The a8/c3 counts must equal the
+  // in-memory scan's.
   const char* tmpdir = std::getenv("TMPDIR");
   const std::string tmp_base =
       std::string(tmpdir != nullptr ? tmpdir : "/tmp") +
       "/counting_scan_bench";
   const auto run_paged_shapes = [&](const std::string& file_path,
                                     const std::string& key_prefix) {
-    std::printf("%8s %12s %14s %14s %10s %12s\n", "attrs", "conditions",
-                "sync (s)", "buffered (s)", "speedup", "io wait (s)");
-    optrules::bench::PrintRule(76);
+    std::printf("%8s %12s %14s %12s\n", "attrs", "conditions", "time (s)",
+                "io wait (s)");
+    optrules::bench::PrintRule(52);
     for (const int conditions : {0, 3}) {
       const int attrs = conditions == 0 ? 2 : num_numeric;
       const MultiCountSpec spec = MakeSpec(base, generalized, attrs,
                                            conditions, num_boolean,
                                            /*with_sums=*/true);
-      double mode_seconds[2] = {0.0, 0.0};
-      double mode_io_wait[2] = {0.0, 0.0};
-      int64_t mode_checksum[2] = {0, 0};
-      optrules::bucketing::ScanPhaseTimes mode_phases[2];
-      for (const bool buffered : {false, true}) {
-        double best = 0.0;
-        for (int rep = 0; rep < kReps; ++rep) {
-          EvictFromPageCache(file_path);
-          auto source_or = optrules::storage::PagedFileBatchSource::Open(
-              file_path, optrules::storage::kDefaultBatchRows,
-              buffered ? optrules::storage::PagedReadMode::kDoubleBuffered
-                       : optrules::storage::PagedReadMode::kSynchronous);
-          OPTRULES_CHECK(source_or.ok());
-          MultiCountPlan plan(spec);
-          optrules::bucketing::ScanPhaseTimes phases;
-          plan.set_phase_times(&phases);
-          optrules::WallTimer timer;
-          ExecuteMultiCount(*source_or.value(), &plan, nullptr);
-          const double seconds = timer.ElapsedSeconds();
-          const bool is_best = rep == 0 || seconds < best;
-          if (is_best) {
-            best = seconds;
-            mode_phases[buffered ? 1 : 0] = phases;
-            mode_io_wait[buffered ? 1 : 0] =
-                source_or.value()->TotalIoWaitSeconds();
-          }
-          if (rep == 0) {
-            int64_t& checksum_out = mode_checksum[buffered ? 1 : 0];
-            for (int ch = 0; ch < plan.num_channels(); ++ch) {
-              const auto& counts = plan.counts(ch);
-              for (size_t b = 0; b < counts.u.size(); ++b) {
-                checksum_out += counts.u[b] * static_cast<int64_t>(b + 1);
-              }
+      double best = 0.0;
+      double io_wait = 0.0;
+      int64_t checksum = 0;
+      optrules::bucketing::ScanPhaseTimes best_phases;
+      for (int rep = 0; rep < kReps; ++rep) {
+        EvictFromPageCache(file_path);
+        auto source_or =
+            optrules::storage::PagedFileBatchSource::Open(file_path);
+        OPTRULES_CHECK(source_or.ok());
+        MultiCountPlan plan(spec);
+        optrules::bucketing::ScanPhaseTimes phases;
+        plan.set_phase_times(&phases);
+        optrules::WallTimer timer;
+        ExecuteMultiCount(*source_or.value(), &plan, nullptr);
+        const double seconds = timer.ElapsedSeconds();
+        if (rep == 0 || seconds < best) {
+          best = seconds;
+          best_phases = phases;
+          io_wait = source_or.value()->TotalIoWaitSeconds();
+        }
+        if (rep == 0) {
+          for (int ch = 0; ch < plan.num_channels(); ++ch) {
+            const auto& counts = plan.counts(ch);
+            for (size_t b = 0; b < counts.u.size(); ++b) {
+              checksum += counts.u[b] * static_cast<int64_t>(b + 1);
             }
           }
         }
-        mode_seconds[buffered ? 1 : 0] = best;
       }
-      OPTRULES_CHECK(mode_checksum[0] == mode_checksum[1]);  // sync == async
       if (conditions == 3) {
-        OPTRULES_CHECK(mode_checksum[1] == a8_c3_checksum);  // disk == mem
+        OPTRULES_CHECK(checksum == a8_c3_checksum);  // disk == mem
       }
-      std::printf("%8d %12d %14.3f %14.3f %9.2fx %12.3f\n", attrs,
-                  conditions, mode_seconds[0], mode_seconds[1],
-                  mode_seconds[0] / mode_seconds[1], mode_io_wait[1]);
+      std::printf("%8d %12d %14.3f %12.3f\n", attrs, conditions, best,
+                  io_wait);
       const std::string key = key_prefix + "_a" + std::to_string(attrs) +
                               "_c" + std::to_string(conditions);
-      json.Add(key + "_sync_seconds", mode_seconds[0]);
-      json.Add(key + "_seconds", mode_seconds[1]);
-      json.Add(key + "_sync_io_wait_seconds", mode_io_wait[0]);
-      json.Add(key + "_io_wait_seconds", mode_io_wait[1]);
-      json.Add(key + "_locate_seconds", mode_phases[1].locate_seconds);
-      json.Add(key + "_mask_seconds", mode_phases[1].mask_seconds);
-      json.Add(key + "_scatter_seconds", mode_phases[1].scatter_seconds);
+      json.Add(key + "_seconds", best);
+      json.Add(key + "_io_wait_seconds", io_wait);
+      json.Add(key + "_locate_seconds", best_phases.locate_seconds);
+      json.Add(key + "_mask_seconds", best_phases.mask_seconds);
+      json.Add(key + "_scatter_seconds", best_phases.scatter_seconds);
     }
   };
 
   optrules::bench::PrintHeader(
-      "Out-of-core counting scan (PagedFile, columnar v2)");
+      "Out-of-core counting scan (PagedFile)");
   const std::string path = tmp_base + ".optr";
   OPTRULES_CHECK(
       optrules::storage::WriteRelationToFile(table, path).ok());
@@ -379,8 +384,7 @@ int main() {
                                          num_boolean, /*with_sums=*/true);
     const auto run_session = [&](int64_t* checksum_out, double* hit_rate) {
       auto source_or = optrules::storage::PagedFileBatchSource::Open(
-          path, optrules::storage::kDefaultBatchRows,
-          optrules::storage::PagedReadMode::kDoubleBuffered, &pool);
+          path, optrules::storage::kDefaultBatchRows, &pool);
       OPTRULES_CHECK(source_or.ok());
       MultiCountPlan plan(spec);
       optrules::WallTimer timer;
@@ -421,11 +425,11 @@ int main() {
   }
 
   // ---- zone-map pruning: selective conditional session -----------------
-  // Condition Boolean 0 true only in the leading 1% of rows: the v2 zone
-  // maps prove nearly every page dead for an all-conditional spec, so the
-  // pooled scan skips them wholesale. The pruned plan must still equal
-  // the unpruned bypass reference bit for bit (checksum below), with
-  // pages_skipped proving the pruning actually fired.
+  // Condition Boolean 0 true only in the leading 1% of rows: the zone maps
+  // prove nearly every page dead for an all-conditional spec, so the scan
+  // skips them wholesale. The pruned plan must still equal the unpruned
+  // reference bit for bit (checksum below), with pages_skipped proving the
+  // pruning actually fired.
   optrules::bench::PrintHeader(
       "Zone-map pruning (selective condition, 1% true window)");
   {
@@ -448,19 +452,24 @@ int main() {
       channel.condition = 0;
       spec.channels.push_back(std::move(channel));
     }
+    // `pruned` = false scans through UnprunedSource, which never passes
+    // the executor's prune spec down to the paged source.
     const auto run_selective = [&](optrules::storage::BufferPool* pool,
-                                   int64_t* pages_skipped) {
+                                   bool pruned, int64_t* pages_skipped) {
       double best = 0.0;
       int64_t checksum_out = 0;
       for (int rep = 0; rep < kReps; ++rep) {
         EvictFromPageCache(selective_path);
         auto source_or = optrules::storage::PagedFileBatchSource::Open(
-            selective_path, optrules::storage::kDefaultBatchRows,
-            optrules::storage::PagedReadMode::kDoubleBuffered, pool);
+            selective_path, optrules::storage::kDefaultBatchRows, pool);
         OPTRULES_CHECK(source_or.ok());
+        UnprunedSource unpruned(source_or.value().get());
+        optrules::storage::BatchSource* scanned =
+            pruned ? source_or.value().get() : nullptr;
+        if (scanned == nullptr) scanned = &unpruned;
         MultiCountPlan plan(spec);
         optrules::WallTimer timer;
-        ExecuteMultiCount(*source_or.value(), &plan, nullptr);
+        ExecuteMultiCount(*scanned, &plan, nullptr);
         const double seconds = timer.ElapsedSeconds();
         if (rep == 0 || seconds < best) best = seconds;
         if (rep == 0) {
@@ -478,14 +487,14 @@ int main() {
       return std::make_pair(best, checksum_out);
     };
     const auto [unpruned_seconds, unpruned_checksum] =
-        run_selective(nullptr, nullptr);
+        run_selective(nullptr, false, nullptr);
     optrules::storage::BufferPool pool(
         optrules::storage::kDefaultBufferPoolBytes);
     int64_t pages_skipped = 0;
     const auto [pruned_seconds, pruned_checksum] =
-        run_selective(&pool, &pages_skipped);
+        run_selective(&pool, true, &pages_skipped);
     OPTRULES_CHECK(pruned_checksum == unpruned_checksum);  // pruned == ref
-    std::printf("unpruned bypass:    %8.3f s\n", unpruned_seconds);
+    std::printf("unpruned no-cache:  %8.3f s\n", unpruned_seconds);
     std::printf("zone-map pruned:    %8.3f s (%.2fx, %lld pages skipped)\n",
                 pruned_seconds, unpruned_seconds / pruned_seconds,
                 static_cast<long long>(pages_skipped));
@@ -494,19 +503,6 @@ int main() {
     json.Add("pages_skipped", pages_skipped);
     std::remove(selective_path.c_str());
   }
-
-  optrules::bench::PrintHeader(
-      "Out-of-core counting scan (PagedFile, row-major v1 reference)");
-  const std::string v1_path = tmp_base + "_v1.optr";
-  {
-    optrules::storage::PagedFileWriterOptions v1_options;
-    v1_options.format = optrules::storage::PagedFileFormat::kRowMajorV1;
-    OPTRULES_CHECK(
-        optrules::storage::WriteRelationToFile(table, v1_path, v1_options)
-            .ok());
-  }
-  run_paged_shapes(v1_path, "paged_v1");
-  std::remove(v1_path.c_str());
 
   // ---- partitioned / distributed scan: worker scaling curve ------------
   // The same a8/c3 channel load sharded over K=4 partition PagedFiles and

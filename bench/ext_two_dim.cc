@@ -6,9 +6,9 @@
 // the x-monotone region's gain dominates the rectangle gain.
 //
 // Part 2 times the grid COUNTING itself through the MiningEngine's grid
-// channel -- in memory and out-of-core over a PagedFile (synchronous and
-// double-buffered) -- and cross-checks every path bit-identical against
-// the legacy row-at-a-time region::BuildGrid reference.
+// channel -- in memory and out-of-core over a PagedFile -- and
+// cross-checks every path bit-identical against the legacy row-at-a-time
+// region::BuildGrid reference.
 
 #include <cstdio>
 #include <cstdlib>
@@ -172,18 +172,13 @@ int main() {
   const double memory_seconds = memory_timer.ElapsedSeconds();
   if (!memory_region.ok()) return 1;
 
-  // Out-of-core: the same session shape over a PagedFile, synchronous and
-  // double-buffered.
+  // Out-of-core: the same session shape over a PagedFile.
   const std::string path = "/tmp/optrules_ext_two_dim.optr";
   if (!optrules::storage::WriteRelationToFile(relation, path).ok()) return 1;
-  double paged_seconds[2] = {0.0, 0.0};
-  optrules::rules::MinedRegion paged_region[2];
-  const optrules::storage::PagedReadMode modes[2] = {
-      optrules::storage::PagedReadMode::kSynchronous,
-      optrules::storage::PagedReadMode::kDoubleBuffered};
-  for (int m = 0; m < 2; ++m) {
-    auto source_or =
-        optrules::storage::PagedFileBatchSource::Open(path, 4096, modes[m]);
+  double paged_seconds = 0.0;
+  optrules::rules::MinedRegion paged_region;
+  {
+    auto source_or = optrules::storage::PagedFileBatchSource::Open(path, 4096);
     if (!source_or.ok()) return 1;
     optrules::rules::MiningEngine engine(source_or.value().get(),
                                          relation.schema(), options);
@@ -191,16 +186,15 @@ int main() {
     optrules::WallTimer timer;
     engine.MineAllPairs();
     auto region_or = engine.MineOptimizedRegion("num0", "num1", "bool0");
-    paged_seconds[m] = timer.ElapsedSeconds();
+    paged_seconds = timer.ElapsedSeconds();
     if (!region_or.ok() || engine.counting_scans() != 1) return 1;
-    paged_region[m] = region_or.value();
+    paged_region = region_or.value();
   }
   std::remove(path.c_str());
 
   const bool regions_match =
       SameMinedRegion(memory_region.value(), legacy_region.value()) &&
-      SameMinedRegion(paged_region[0], legacy_region.value()) &&
-      SameMinedRegion(paged_region[1], legacy_region.value());
+      SameMinedRegion(paged_region, legacy_region.value());
   if (!regions_match) ok = false;
 
   std::printf("%-44s %10.3f s\n", "legacy BuildGrid + region miners",
@@ -208,16 +202,12 @@ int main() {
   std::printf("%-44s %10.3f s\n",
               "engine in-memory (all pairs + region, 1 scan)",
               memory_seconds);
-  std::printf("%-44s %10.3f s\n", "engine PagedFile synchronous",
-              paged_seconds[0]);
-  std::printf("%-44s %10.3f s\n", "engine PagedFile double-buffered",
-              paged_seconds[1]);
+  std::printf("%-44s %10.3f s\n", "engine PagedFile", paged_seconds);
   std::printf("engine == legacy on every path: %s\n",
               regions_match ? "yes" : "NO");
   json.Add("legacy_region_seconds", legacy_seconds);
   json.Add("engine_memory_seconds", memory_seconds);
-  json.Add("engine_paged_sync_seconds", paged_seconds[0]);
-  json.Add("engine_paged_buffered_seconds", paged_seconds[1]);
+  json.Add("engine_paged_buffered_seconds", paged_seconds);
   json.Add("rows", rows);
   json.Add("regions_match", regions_match);
   json.Add("shape_ok", ok);

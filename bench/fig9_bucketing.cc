@@ -63,10 +63,8 @@ double RunNaiveSort(const std::string& table_path,
         table_path, attr, kBuckets, temp_dir + "/fig9_sorted.optr",
         kSortMemoryBudget, temp_dir);
     OPTRULES_CHECK(boundaries.ok());
-    // Counting pass over the sorted file (counts come for free with the
-    // scan in a real deployment; we still perform it for parity).
-    auto stream_or = optrules::storage::FileTupleStream::Open(
-        temp_dir + "/fig9_sorted.optr");
+    // Counting pass over the table, for parity with the other arms.
+    auto stream_or = optrules::storage::FileTupleStream::Open(table_path);
     OPTRULES_CHECK(stream_or.ok());
     const optrules::bucketing::BucketCounts counts =
         optrules::bucketing::CountBucketsFromStream(*stream_or.value(),

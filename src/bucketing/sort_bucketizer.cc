@@ -44,9 +44,9 @@ class RankPicker {
   std::vector<double> cuts_;
 };
 
-/// RecordSource that packs tuples streamed from any PagedFile (columnar v2
-/// pages included) into the fixed-width v1 row layout the external sort
-/// shuffles: numeric doubles back to back, then boolean bytes.
+/// RecordSource that packs tuples streamed from a PagedFile into the
+/// fixed-width row layout the external sort shuffles: numeric doubles back
+/// to back, then boolean bytes.
 class TupleRecordSource final : public storage::RecordSource {
  public:
   TupleRecordSource(storage::FileTupleStream* stream, int num_numeric,
@@ -78,23 +78,6 @@ class TupleRecordSource final : public storage::RecordSource {
   size_t row_bytes_;
 };
 
-/// The 24-byte v1 PagedFile header for a sorted output of known shape --
-/// row count included up front, since sorting never changes it.
-std::vector<uint8_t> V1Header(int num_numeric, int num_boolean,
-                              int64_t num_rows) {
-  std::vector<uint8_t> header(storage::kPagedFileHeaderBytes, 0);
-  const auto put_u32 = [&header](size_t offset, uint32_t v) {
-    std::memcpy(header.data() + offset, &v, sizeof(v));
-  };
-  put_u32(0, 0x4f505452);  // "OPTR"
-  put_u32(4, static_cast<uint32_t>(storage::PagedFileFormat::kRowMajorV1));
-  put_u32(8, static_cast<uint32_t>(num_numeric));
-  put_u32(12, static_cast<uint32_t>(num_boolean));
-  const auto rows = static_cast<uint64_t>(num_rows);
-  std::memcpy(header.data() + 16, &rows, sizeof(rows));
-  return header;
-}
-
 }  // namespace
 
 BucketBoundaries ExactEquiDepthBoundaries(std::span<const double> values,
@@ -124,47 +107,51 @@ Result<BucketBoundaries> NaiveSortBoundariesFromFile(
     return Status::InvalidArgument("numeric_attr out of range");
   }
 
-  // ExternalSort shuffles fixed-width whole-row records. A v1 input is
-  // already that shape and sorts file-to-file; a columnar v2 table is
+  // ExternalSort shuffles fixed-width whole-row records: the table is
   // streamed page by page straight into the run generator, each tuple
-  // packed into the v1 row layout on the fly -- no row-major temporary
-  // rewrite. Either way the sorted output is a valid v1 PagedFile.
+  // packed into the row layout on the fly -- no row-major temporary
+  // rewrite. The sorted output is a headerless file of those records.
   storage::ExternalSortOptions sort_options;
   sort_options.record_bytes = info.row_bytes;
   sort_options.key_offset =
       static_cast<size_t>(numeric_attr) * sizeof(double);
   sort_options.memory_budget_bytes = memory_budget_bytes;
   sort_options.temp_dir = temp_dir;
+  Result<std::unique_ptr<storage::FileTupleStream>> input_or =
+      storage::FileTupleStream::Open(table_path);
+  if (!input_or.ok()) return input_or.status();
+  TupleRecordSource source(input_or.value().get(), info.num_numeric,
+                           info.num_boolean);
   Result<storage::ExternalSortStats> sort_result =
-      storage::ExternalSortStats{};
-  if (info.format_version == 1) {
-    sort_options.header_bytes = storage::kPagedFileHeaderBytes;
-    sort_result = storage::ExternalSort(table_path, sorted_path,
-                                        sort_options);
-  } else {
-    Result<std::unique_ptr<storage::FileTupleStream>> input_or =
-        storage::FileTupleStream::Open(table_path);
-    if (!input_or.ok()) return input_or.status();
-    TupleRecordSource source(input_or.value().get(), info.num_numeric,
-                             info.num_boolean);
-    const std::vector<uint8_t> header =
-        V1Header(info.num_numeric, info.num_boolean, info.num_rows);
-    sort_result = storage::ExternalSortRecords(source, sorted_path, header,
-                                               sort_options);
-  }
+      storage::ExternalSortRecords(source, sorted_path, sort_options);
   if (!sort_result.ok()) return sort_result.status();
-
-  Result<std::unique_ptr<storage::FileTupleStream>> stream_or =
-      storage::FileTupleStream::Open(sorted_path);
-  if (!stream_or.ok()) return stream_or.status();
-  storage::FileTupleStream& stream = *stream_or.value();
-  RankPicker picker(info.num_rows, num_buckets);
-  storage::TupleView view;
-  int64_t index = 0;
-  while (stream.Next(&view)) {
-    picker.Accept(index, view.numeric[numeric_attr]);
-    ++index;
+  // The stream ends early on a short page read; cut points ranked against
+  // the header's row count would then be silently wrong.
+  if (sort_result.value().num_records != info.num_rows) {
+    return Status::Corruption("table holds fewer rows than its header: " +
+                              table_path);
   }
+
+  std::FILE* sorted = std::fopen(sorted_path.c_str(), "rb");
+  if (sorted == nullptr) {
+    return Status::IoError("cannot open: " + sorted_path);
+  }
+  RankPicker picker(info.num_rows, num_buckets);
+  std::vector<uint8_t> buffer(info.row_bytes * 4096);
+  int64_t index = 0;
+  size_t got;
+  while ((got = std::fread(buffer.data(), info.row_bytes, 4096, sorted)) >
+         0) {
+    for (size_t i = 0; i < got; ++i) {
+      double value;
+      std::memcpy(&value,
+                  buffer.data() + i * info.row_bytes + sort_options.key_offset,
+                  sizeof(double));
+      picker.Accept(index, value);
+      ++index;
+    }
+  }
+  std::fclose(sorted);
   return BucketBoundaries::FromCutPoints(picker.TakeCuts());
 }
 
@@ -219,13 +206,17 @@ Result<BucketBoundaries> VerticalSplitSortBoundariesFromFile(
     if (std::fclose(split) != 0 || write_failed) {
       return Status::IoError("split write failed: " + split_path);
     }
+    // Same short-read guard as the naive path.
+    if (tid != info.num_rows) {
+      return Status::Corruption("table holds fewer rows than its header: " +
+                                table_path);
+    }
   }
 
   // Phase 2: external sort of the narrow file by value.
   storage::ExternalSortOptions sort_options;
   sort_options.record_bytes = sizeof(SplitRecord);
   sort_options.key_offset = 0;
-  sort_options.header_bytes = 0;
   sort_options.memory_budget_bytes = memory_budget_bytes;
   sort_options.temp_dir = temp_dir;
   const std::string sorted_split = split_path + ".sorted";

@@ -129,7 +129,6 @@ Status DistributedScanCoordinator::Execute(bucketing::MultiCountPlan* plan) {
   PartitionScanSpec base_spec;
   base_spec.spec = &plan->spec();
   base_spec.batch_rows = options_.batch_rows;
-  base_spec.read_mode = options_.read_mode;
   base_spec.liveness_timeout_ms = options_.liveness_timeout_ms;
 
   // Manifest pruning happens before any dispatch: a partition whose

@@ -63,8 +63,6 @@ struct DistributedScanOptions {
   /// and schedule never change results, only wall clock.
   int max_workers = 0;
   int64_t batch_rows = storage::kDefaultBatchRows;
-  storage::PagedReadMode read_mode =
-      storage::PagedReadMode::kDoubleBuffered;
   /// optrules_workerd binary for kSubprocess; empty = $OPTRULES_WORKERD.
   std::string workerd_path;
 

@@ -67,11 +67,9 @@ Status PartitionedTable::Validate() const {
 }
 
 Result<std::unique_ptr<storage::PagedFileBatchSource>>
-PartitionedTable::OpenPartition(int p, int64_t batch_rows,
-                                storage::PagedReadMode mode) const {
+PartitionedTable::OpenPartition(int p, int64_t batch_rows) const {
   OPTRULES_CHECK(0 <= p && p < num_partitions());
-  return storage::PagedFileBatchSource::Open(PartitionPath(p), batch_rows,
-                                             mode);
+  return storage::PagedFileBatchSource::Open(PartitionPath(p), batch_rows);
 }
 
 namespace {
@@ -279,12 +277,10 @@ namespace {
 class ConcatReader : public storage::BatchReader {
  public:
   ConcatReader(const PartitionedTable* table, int64_t batch_rows,
-               storage::PagedReadMode mode,
                std::shared_ptr<const storage::ScanPruneSpec> prune,
                const ConcatStatSinks& sinks)
       : table_(table),
         batch_rows_(batch_rows),
-        mode_(mode),
         prune_(std::move(prune)),
         sinks_(sinks) {}
 
@@ -301,7 +297,7 @@ class ConcatReader : public storage::BatchReader {
         continue;
       }
       Result<std::unique_ptr<storage::PagedFileBatchSource>> source =
-          table_->OpenPartition(p, batch_rows_, mode_);
+          table_->OpenPartition(p, batch_rows_);
       // A partition vanishing MID-scan is fatal (BatchReader::Next has no
       // error channel, and silently truncating the table would corrupt
       // results); callers that need a soft failure re-run
@@ -352,7 +348,6 @@ class ConcatReader : public storage::BatchReader {
 
   const PartitionedTable* table_;
   int64_t batch_rows_;
-  storage::PagedReadMode mode_;
   std::shared_ptr<const storage::ScanPruneSpec> prune_;
   ConcatStatSinks sinks_;
   int next_partition_ = 0;
@@ -365,9 +360,8 @@ class ConcatReader : public storage::BatchReader {
 }  // namespace
 
 PartitionedTableBatchSource::PartitionedTableBatchSource(
-    const PartitionedTable* table, int64_t batch_rows,
-    storage::PagedReadMode mode)
-    : table_(table), batch_rows_(batch_rows), mode_(mode) {
+    const PartitionedTable* table, int64_t batch_rows)
+    : table_(table), batch_rows_(batch_rows) {
   OPTRULES_CHECK(table != nullptr);
 }
 
@@ -390,8 +384,8 @@ PartitionedTableBatchSource::DoCreateReader() {
   sinks.cache_misses = &cache_misses_;
   sinks.pages_skipped = &pages_skipped_;
   sinks.partitions_skipped = &partitions_skipped_;
-  return std::make_unique<ConcatReader>(table_, batch_rows_, mode_,
-                                        prune_spec(), sinks);
+  return std::make_unique<ConcatReader>(table_, batch_rows_, prune_spec(),
+                                        sinks);
 }
 
 }  // namespace optrules::dist

@@ -6,8 +6,8 @@
 // (schema hash, per-partition row counts, per-attribute min/max stats);
 // workers then scan partitions independently and the coordinator merges
 // their partial MultiCountPlans in fixed partition order. Partition files
-// are plain PagedFiles, so every existing reader (sync, double-buffered,
-// range-sharded) works on a partition unchanged.
+// are plain PagedFiles, so the paged reader (whole-file or range-sharded)
+// works on a partition unchanged.
 
 #ifndef OPTRULES_DIST_PARTITIONED_TABLE_H_
 #define OPTRULES_DIST_PARTITIONED_TABLE_H_
@@ -73,9 +73,7 @@ class PartitionedTable {
   /// Opens one partition as a batch source (each call is an independent
   /// file handle, so concurrent workers never share reader state).
   Result<std::unique_ptr<storage::PagedFileBatchSource>> OpenPartition(
-      int p, int64_t batch_rows = storage::kDefaultBatchRows,
-      storage::PagedReadMode mode =
-          storage::PagedReadMode::kDoubleBuffered) const;
+      int p, int64_t batch_rows = storage::kDefaultBatchRows) const;
 
  private:
   PartitionedTable(std::string dir, PartitionManifest manifest)
@@ -138,9 +136,7 @@ class PartitionedTableBatchSource : public storage::BatchSource {
  public:
   explicit PartitionedTableBatchSource(
       const PartitionedTable* table,
-      int64_t batch_rows = storage::kDefaultBatchRows,
-      storage::PagedReadMode mode =
-          storage::PagedReadMode::kDoubleBuffered);
+      int64_t batch_rows = storage::kDefaultBatchRows);
 
   int num_numeric() const override;
   int num_boolean() const override;
@@ -161,7 +157,6 @@ class PartitionedTableBatchSource : public storage::BatchSource {
  private:
   const PartitionedTable* table_;
   int64_t batch_rows_;
-  storage::PagedReadMode mode_;
   std::atomic<int64_t> cache_hits_{0};
   std::atomic<int64_t> cache_misses_{0};
   std::atomic<int64_t> pages_skipped_{0};

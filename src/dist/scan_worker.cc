@@ -76,8 +76,7 @@ Result<bucketing::MultiCountPlan> InProcessScanWorker::CountPartition(
     storage::BatchSourceStats* stats) {
   OPTRULES_CHECK(spec.spec != nullptr);
   Result<std::unique_ptr<storage::PagedFileBatchSource>> source =
-      storage::PagedFileBatchSource::Open(partition_path, spec.batch_rows,
-                                          spec.read_mode);
+      storage::PagedFileBatchSource::Open(partition_path, spec.batch_rows);
   if (!source.ok()) return source.status();
   bucketing::MultiCountPlan plan(*spec.spec);
   // Serial reference chain (see the header): partials are a pure function
@@ -203,8 +202,7 @@ Result<bucketing::MultiCountPlan> SubprocessScanWorker::CountPartition(
     return Status::IoError("subprocess worker already failed; respawn it");
   }
   std::vector<uint8_t> request;
-  EncodeScanRequest(partition_path, spec.batch_rows, spec.read_mode,
-                    *spec.spec, &request);
+  EncodeScanRequest(partition_path, spec.batch_rows, *spec.spec, &request);
   const Status wrote = WriteFrame(to_child_, request);
   if (!wrote.ok()) {
     // EPIPE: the daemon died between requests. Reap it now.

@@ -3,9 +3,8 @@
 // The coordinator hands each worker a (partition file, MultiCountSpec)
 // pair and gets back a partial MultiCountPlan. Two implementations:
 //
-//  * InProcessScanWorker -- opens the partition with its own
-//    (double-buffered by default) reader and runs ExecuteMultiCount right
-//    here. The per-machine path.
+//  * InProcessScanWorker -- opens the partition with its own paged reader
+//    and runs ExecuteMultiCount right here. The per-machine path.
 //  * SubprocessScanWorker -- forks an optrules_workerd process and speaks
 //    the length-prefixed pipe protocol (spec + boundaries down, serialized
 //    partial plan state up), so multi-process / multi-machine execution is
@@ -46,8 +45,6 @@ struct PartitionScanSpec {
   /// from it, boundary pointers included).
   const bucketing::MultiCountSpec* spec = nullptr;
   int64_t batch_rows = storage::kDefaultBatchRows;
-  storage::PagedReadMode read_mode =
-      storage::PagedReadMode::kDoubleBuffered;
   /// Per-attempt reply deadline in ms; 0 = none. Subprocess workers kill
   /// the daemon on expiry (DeadlineExceeded); in-process workers cannot
   /// abandon a running scan and ignore it.
@@ -87,7 +84,7 @@ class ScanWorker {
   virtual bool healthy() const { return true; }
 };
 
-/// Same-process worker with its own double-buffered partition reader.
+/// Same-process worker with its own partition reader.
 class InProcessScanWorker final : public ScanWorker {
  public:
   Result<bucketing::MultiCountPlan> CountPartition(

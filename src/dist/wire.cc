@@ -170,15 +170,12 @@ Status ReadFrameTimed(int fd, std::vector<uint8_t>* payload,
 }
 
 void EncodeScanRequest(const std::string& partition_path, int64_t batch_rows,
-                       storage::PagedReadMode read_mode,
                        const bucketing::MultiCountSpec& spec,
                        std::vector<uint8_t>* out) {
   OPTRULES_CHECK(out != nullptr);
   AppendScalar<uint8_t>(out, static_cast<uint8_t>(FrameKind::kScanRequest));
   AppendString(out, partition_path);
   AppendScalar<int64_t>(out, batch_rows);
-  AppendScalar<uint8_t>(
-      out, read_mode == storage::PagedReadMode::kSynchronous ? 0 : 1);
   AppendScalar<int32_t>(out, spec.num_targets);
 
   // Boundary table: each distinct pointer once, in first-use order across
@@ -245,10 +242,6 @@ Result<ScanRequestFrame> DecodeScanRequest(
   if (frame.batch_rows < 1) {
     return Status::Corruption("invalid batch_rows in scan request");
   }
-  uint8_t mode = 0;
-  OPTRULES_RETURN_IF_ERROR(reader.ReadScalar(&mode));
-  frame.read_mode = mode == 0 ? storage::PagedReadMode::kSynchronous
-                              : storage::PagedReadMode::kDoubleBuffered;
   OPTRULES_RETURN_IF_ERROR(reader.ReadScalar(&frame.spec.num_targets));
 
   uint32_t num_boundaries = 0;

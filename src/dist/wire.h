@@ -102,8 +102,6 @@ struct ScanRequestFrame {
 
   std::string partition_path;
   int64_t batch_rows = storage::kDefaultBatchRows;
-  storage::PagedReadMode read_mode =
-      storage::PagedReadMode::kDoubleBuffered;
   /// Deserialized boundary objects, in first-use order; the spec's channel
   /// pointers reference these (stable across moves of the frame).
   std::vector<bucketing::BucketBoundaries> boundaries;
@@ -114,7 +112,6 @@ struct ScanRequestFrame {
 /// pointer across channels and grid axes is serialized once (by cut
 /// points) and referenced by index, mirroring the plan's locate groups.
 void EncodeScanRequest(const std::string& partition_path, int64_t batch_rows,
-                       storage::PagedReadMode read_mode,
                        const bucketing::MultiCountSpec& spec,
                        std::vector<uint8_t>* out);
 

@@ -277,8 +277,7 @@ Status ServeScanRequest(std::span<const uint8_t> request,
   if (!frame.ok()) return frame.status();
   Result<std::unique_ptr<storage::PagedFileBatchSource>> source =
       storage::PagedFileBatchSource::Open(frame.value().partition_path,
-                                          frame.value().batch_rows,
-                                          frame.value().read_mode);
+                                          frame.value().batch_rows);
   if (!source.ok()) return source.status();
   OPTRULES_RETURN_IF_ERROR(ValidateSpecForSource(
       frame.value().spec, source.value()->num_numeric(),

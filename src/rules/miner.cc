@@ -252,7 +252,7 @@ MiningEngine::MiningEngine(const dist::PartitionedTable* table,
   // manifest order); counting scans go through the coordinator instead and
   // account their logical scans on this source via NoteScanStarted.
   owned_source_ = std::make_unique<dist::PartitionedTableBatchSource>(
-      table, dist_options_.batch_rows, dist_options_.read_mode);
+      table, dist_options_.batch_rows);
   source_ = owned_source_.get();
 }
 

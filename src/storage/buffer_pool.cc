@@ -150,10 +150,10 @@ Result<BufferPool::Pin> BufferPool::Fetch(uint64_t file_id,
     if (it == frames_.end()) break;
     Frame* frame = it->second.get();
     if (frame->loading) {
-      // Another fetcher (or the prefetch hint) is filling this frame; wait
-      // for that load instead of issuing a duplicate read. The wait is
-      // charged as a miss: the disk read is happening NOW, on behalf of
-      // this fetch -- only an already-loaded frame is a hit.
+      // Another fetcher is filling this frame; wait for that load instead
+      // of issuing a duplicate read. The wait is charged as a miss: the
+      // disk read is happening NOW, on behalf of this fetch -- only an
+      // already-loaded frame is a hit.
       waited = true;
       load_cv_.wait(lock);
       continue;  // the frame may have been dropped on load failure
@@ -208,43 +208,6 @@ Result<BufferPool::Pin> BufferPool::Fetch(uint64_t file_id,
   return Pin(this, frame);
 }
 
-void BufferPool::Prefetch(uint64_t file_id, int64_t page_index,
-                          size_t page_bytes, const Loader& loader) {
-  const FrameKey key{file_id, page_index};
-  std::unique_lock<std::mutex> lock(mu_);
-  if (frames_.find(key) != frames_.end()) return;  // resident or in flight
-  // Hints are invisible to the hit/miss counters: they measure what the
-  // DEMAND fetches experienced, so a cold double-buffered scan does not
-  // masquerade as cache-friendly just because its own prefetcher primed
-  // every page.
-  auto owned = std::make_unique<Frame>();
-  Frame* frame = owned.get();
-  frame->key = key;
-  frame->bytes.resize(page_bytes);
-  frame->pins = 1;
-  frame->loading = true;
-  bytes_used_ += page_bytes;
-  frames_.emplace(key, std::move(owned));
-  EvictLocked();
-
-  lock.unlock();
-  const Status loaded = loader(frame->bytes.data());
-  lock.lock();
-
-  frame->loading = false;
-  frame->pins = 0;
-  if (!loaded.ok()) {
-    // Swallow: the consumer's own Fetch will re-attempt and surface it.
-    bytes_used_ -= frame->bytes.size();
-    frames_.erase(key);
-  } else {
-    frame->lru_pos = lru_.insert(lru_.end(), frame);
-    frame->in_lru = true;
-    EvictLocked();
-  }
-  load_cv_.notify_all();
-}
-
 void BufferPool::Release(Frame* frame) {
   std::lock_guard<std::mutex> lock(mu_);
   OPTRULES_CHECK(frame->pins > 0);
@@ -280,7 +243,7 @@ BufferPool::Stats BufferPool::stats() const {
 BufferPool* BufferPool::Default() {
   static BufferPool* pool = []() -> BufferPool* {
     // Strict parse: "64abc" and "-1" are rejected (warning + 64 MiB
-    // default), never half-parsed into a bogus budget. "0" = bypass.
+    // default), never half-parsed into a bogus budget. "0" = no shared cache.
     const size_t bytes = static_cast<size_t>(env::ReadEnvNonNegativeInt(
         "OPTRULES_BUFFER_POOL_BYTES", kDefaultBufferPoolBytes));
     if (bytes == 0) return nullptr;

@@ -14,16 +14,15 @@
 // Concurrency: one mutex guards the frame table, LRU list, and counters.
 // Page loads run OUTSIDE the mutex -- a frame being filled is marked
 // loading, and every other fetcher of the same page waits on a condition
-// variable instead of issuing a duplicate read. That is what turns the
-// double-buffered prefetch thread into a cache-warming hint: the
-// prefetcher starts the load of page N+1, the consumer's later Fetch of
-// the same page blocks on the in-flight load (not on the disk) and then
-// pins the shared frame.
+// variable instead of issuing a duplicate read, so concurrent scans of one
+// file (row-sharded readers meeting at a page boundary, sessions sharing a
+// table) load each page once.
 //
 // Capacity is a SOFT budget: pinned frames are never evicted, so when the
 // working set of simultaneously pinned pages exceeds the budget the pool
-// overshoots instead of deadlocking (a capacity-1 pool still serves any
-// number of concurrent readers; it just stops caching).
+// overshoots instead of deadlocking (a capacity-0 pool still serves any
+// number of concurrent readers; it just caches nothing but pinned pages --
+// PagedFileBatchSource's no-cache mode).
 //
 // Files are identified by stat identity (device, inode, size, mtime):
 // re-registering a path whose identity changed -- e.g. a writer truncated
@@ -110,12 +109,6 @@ class BufferPool {
   Result<Pin> Fetch(uint64_t file_id, int64_t page_index, size_t page_bytes,
                     const Loader& loader, bool* was_hit = nullptr);
 
-  /// Cache-warming hint: loads the page into the pool (if absent) and
-  /// leaves it unpinned. Load errors are swallowed -- the consumer's
-  /// demand Fetch will surface them.
-  void Prefetch(uint64_t file_id, int64_t page_index, size_t page_bytes,
-                const Loader& loader);
-
   /// Drops the registration of `path` (and purges its unpinned frames),
   /// so the next RegisterFile sees a fresh generation even when the stat
   /// identity did not observably change -- file timestamps use the coarse
@@ -131,8 +124,9 @@ class BufferPool {
   Stats stats() const;
 
   /// The process-wide pool configured by OPTRULES_BUFFER_POOL_BYTES
-  /// (unset -> 64 MiB; "0" -> nullptr = pooling bypassed, the reference
-  /// read path). The environment is read once, on first use.
+  /// (unset -> 64 MiB; "0" -> nullptr = no shared cache: each
+  /// PagedFileBatchSource then pages through its own capacity-0 pool). The
+  /// environment is read once, on first use.
   static BufferPool* Default();
 
  private:

@@ -8,10 +8,9 @@
 // slices plus Boolean byte-column slices, and the kernels iterate tight
 // span loops with one virtual call per *batch*. In-memory relations serve
 // zero-copy views into their columns; disk-resident PagedFiles serve
-// column slices pointing straight into the raw page image (columnar v2;
-// zero transpose) or transpose each row-major page into reusable column
-// buffers (legacy v1); any legacy TupleStream can be adapted. All feed the
-// same hot loop (bucketing::MultiCountPlan).
+// column slices pointing straight into pinned BufferPool page frames (zero
+// transpose); any legacy TupleStream can be adapted. All feed the same hot
+// loop (bucketing::MultiCountPlan).
 
 #ifndef OPTRULES_STORAGE_COLUMNAR_BATCH_H_
 #define OPTRULES_STORAGE_COLUMNAR_BATCH_H_
@@ -198,39 +197,25 @@ class RelationBatchSource : public BatchSource {
   int64_t batch_rows_;
 };
 
-/// How PagedFileBatchSource readers overlap I/O with compute.
-enum class PagedReadMode {
-  /// A dedicated prefetch thread per reader reads page N+1 while the
-  /// caller transposes page N (double-buffered; the default). The thread
-  /// is per-reader rather than a shared-pool task on purpose: row-sharded
-  /// scans occupy every pool worker with readers that BLOCK on their next
-  /// page, so prefetches queued behind them on the same pool would
-  /// deadlock.
-  kDoubleBuffered,
-  /// Synchronous fread on the calling thread (the reference behavior;
-  /// batches are bit-identical to kDoubleBuffered).
-  kSynchronous,
-};
-
-/// Batch source over a PagedFile: each reader owns its own file handle and
-/// streams `batch_rows`-row batches. Readers must be destroyed before the
-/// source that created them (they report their I/O-wait time into it). For columnar v2 files the batch spans
-/// point directly into the reader's raw page image (zero per-row work;
-/// batches additionally clamp to page boundaries). For row-major v1 files
-/// each page is transposed into reusable column buffers. Supports range
-/// readers (readers seek to their shard), so disk-resident counting can
-/// also be sharded when the storage below tolerates concurrent sequential
-/// streams.
+/// Batch source over a PagedFile. Every reader pages the file through a
+/// BufferPool: it pins the frame of its current page and hands out batch
+/// spans pointing straight into it (zero per-row work; batches clamp to
+/// page boundaries), while a per-reader prefetch thread fetches the next
+/// live page and hands its pin over. Pages the installed ScanPruneSpec
+/// proves dead against the file's zone maps are skipped. Supports range
+/// readers (each with its own file handle), so disk-resident counting can
+/// be sharded. Readers must be destroyed before the source that created
+/// them (they report their counters into it).
 class PagedFileBatchSource : public BatchSource {
  public:
-  /// `pool` routes every page read through the shared LRU cache (readers
-  /// pin the frame their spans point into); nullptr -- or a default pool
-  /// disabled via OPTRULES_BUFFER_POOL_BYTES=0 -- keeps the original
-  /// private-buffer read path as the bit-identical reference. Zone maps,
-  /// when the file carries them, are loaded and validated here.
+  /// Opens `path`, validating its header and loading its zone maps.
+  /// Corruption for a version-1 file, a file without zone maps, or a header
+  /// the file size disagrees with. `pool` is the shared page cache; nullptr
+  /// -- which is what BufferPool::Default() returns when
+  /// OPTRULES_BUFFER_POOL_BYTES=0 -- gives the source its own capacity-0
+  /// pool, which caches nothing beyond the pinned pages.
   static Result<std::unique_ptr<PagedFileBatchSource>> Open(
       const std::string& path, int64_t batch_rows = kDefaultBatchRows,
-      PagedReadMode mode = PagedReadMode::kDoubleBuffered,
       BufferPool* pool = BufferPool::Default());
 
   int num_numeric() const override { return info_.num_numeric; }
@@ -240,21 +225,13 @@ class PagedFileBatchSource : public BatchSource {
   std::unique_ptr<BatchReader> CreateRangeReader(int64_t begin,
                                                  int64_t end) override;
 
-  /// Header metadata of the open file (format version, page geometry).
+  /// Header metadata of the open file (page geometry).
   const PagedFileInfo& info() const { return info_; }
 
-  /// Zone-map index of the file, or nullptr (v1, or v2 without the
-  /// trailer).
-  const ZoneMapIndex* zone_maps() const { return zones_.get(); }
-
-  /// The buffer pool page reads go through (nullptr = bypass).
-  BufferPool* buffer_pool() const { return pool_; }
-
-  /// Total seconds this source's readers spent blocked on file I/O
-  /// (synchronous freads, or waiting on the prefetch thread in
-  /// double-buffered mode), flushed per page so long-lived readers report
-  /// live values. The bench harness reports this as the scan's I/O-wait
-  /// phase.
+  /// Total seconds this source's readers spent waiting for their next page
+  /// from the prefetch thread, flushed per page so long-lived readers
+  /// report live values. The bench harness reports this as the scan's
+  /// I/O-wait phase.
   double TotalIoWaitSeconds() const { return io_wait_seconds_.load(); }
 
   BatchSourceStats SourceStats() const override {
@@ -275,7 +252,7 @@ class PagedFileBatchSource : public BatchSource {
   std::string path_;
   PagedFileInfo info_;
   int64_t batch_rows_ = kDefaultBatchRows;
-  PagedReadMode mode_ = PagedReadMode::kDoubleBuffered;
+  std::unique_ptr<BufferPool> owned_pool_;  ///< set when Open got nullptr
   BufferPool* pool_ = nullptr;
   uint64_t pool_file_id_ = 0;
   std::shared_ptr<const ZoneMapIndex> zones_;

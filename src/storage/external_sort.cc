@@ -99,7 +99,7 @@ class RunReader {
 
 Result<ExternalSortStats> ExternalSortRecords(
     RecordSource& source, const std::string& output_path,
-    std::span<const uint8_t> header, const ExternalSortOptions& options) {
+    const ExternalSortOptions& options) {
   if (options.record_bytes == 0) {
     return Status::InvalidArgument("record_bytes must be > 0");
   }
@@ -154,11 +154,6 @@ Result<ExternalSortStats> ExternalSortRecords(
   output.f = std::fopen(output_path.c_str(), "wb");
   if (output.f == nullptr) {
     return Status::IoError("cannot create: " + output_path);
-  }
-  if (!header.empty() &&
-      std::fwrite(header.data(), 1, header.size(), output.f) !=
-          header.size()) {
-    return Status::IoError("header write failed: " + output_path);
   }
 
   std::vector<std::unique_ptr<RunReader>> readers;
@@ -226,14 +221,8 @@ Result<ExternalSortStats> ExternalSort(const std::string& input_path,
     return Status::IoError("cannot open: " + input_path);
   }
 
-  std::vector<uint8_t> header(options.header_bytes);
-  if (options.header_bytes > 0 &&
-      std::fread(header.data(), 1, header.size(), input.f) != header.size()) {
-    return Status::Corruption("short header: " + input_path);
-  }
-
   FileRecordSource source(input.f, options.record_bytes);
-  return ExternalSortRecords(source, output_path, header, options);
+  return ExternalSortRecords(source, output_path, options);
 }
 
 }  // namespace optrules::storage

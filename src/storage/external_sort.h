@@ -7,16 +7,15 @@
 // whole record, making the sort deterministic).
 //
 // Input comes either from a file of back-to-back records (the classic
-// path) or from any RecordSource -- which is how a columnar v2 table is
+// path) or from any RecordSource -- which is how a columnar PagedFile is
 // sorted without first being rewritten as a row-major temporary: the
 // bucketizer streams pages and packs rows straight into the run
-// generator.
+// generator. The output is always a headerless file of sorted records.
 
 #ifndef OPTRULES_STORAGE_EXTERNAL_SORT_H_
 #define OPTRULES_STORAGE_EXTERNAL_SORT_H_
 
 #include <cstdint>
-#include <span>
 #include <string>
 
 #include "common/status.h"
@@ -27,8 +26,6 @@ namespace optrules::storage {
 struct ExternalSortOptions {
   size_t record_bytes = 0;      ///< width of each record (required, > 0)
   size_t key_offset = 0;        ///< byte offset of the double sort key
-  size_t header_bytes = 0;      ///< input prefix copied verbatim to output
-                                ///< (file-input overload only)
   size_t memory_budget_bytes = 64 << 20;  ///< max bytes sorted in memory
   std::string temp_dir = "/tmp";          ///< directory for run files
 };
@@ -50,18 +47,16 @@ class RecordSource {
   virtual size_t ReadRecords(uint8_t* out, size_t max_records) = 0;
 };
 
-/// Sorts the records produced by `source` into `output_path`, writing
-/// `header` verbatim before the first record. Run generation + k-way
-/// merge; never holds more than `memory_budget_bytes` of record data in
-/// memory (options.header_bytes is ignored here -- the header is the
-/// span).
+/// Sorts the records produced by `source` into `output_path`. Run
+/// generation + k-way merge; never holds more than `memory_budget_bytes`
+/// of record data in memory.
 Result<ExternalSortStats> ExternalSortRecords(
     RecordSource& source, const std::string& output_path,
-    std::span<const uint8_t> header, const ExternalSortOptions& options);
+    const ExternalSortOptions& options);
 
-/// Sorts `input_path` into `output_path` (both fixed-width record files
-/// with an optional `options.header_bytes` header, copied verbatim).
-/// Thin wrapper over ExternalSortRecords with a file-backed source.
+/// Sorts `input_path` into `output_path` (both headerless fixed-width
+/// record files). Thin wrapper over ExternalSortRecords with a file-backed
+/// source.
 Result<ExternalSortStats> ExternalSort(const std::string& input_path,
                                        const std::string& output_path,
                                        const ExternalSortOptions& options);

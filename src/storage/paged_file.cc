@@ -16,8 +16,10 @@ constexpr uint32_t kZoneMapMagic = 0x4f50545a;  // "OPTZ"
 /// Zone-map trailer prefix: magic + 4 pad bytes (keeps the double pairs
 /// 8-aligned relative to the trailer start).
 constexpr size_t kZoneMapTrailerPrefixBytes = 8;
-/// Bit 0 of the v2 header's reserved word: a zone-map trailer follows the
-/// last page.
+/// The only header version this store reads and writes.
+constexpr uint32_t kVersion = 2;
+/// Bit 0 of the header's flags word: a zone-map trailer follows the last
+/// page. Every file carries one.
 constexpr uint32_t kHeaderFlagZoneMaps = 1;
 
 void PutU32(uint8_t* dst, uint32_t v) { std::memcpy(dst, &v, 4); }
@@ -49,7 +51,7 @@ uint32_t AutoRowsPerPage(size_t row_bytes) {
   return rows;
 }
 
-/// Fills a v2 page's column-offset directory (identical on every page).
+/// Fills a page's column-offset directory (identical on every page).
 void WriteDirectory(const PagedFileInfo& geom, uint8_t* page) {
   for (int c = 0; c < geom.num_numeric; ++c) {
     PutU32(page + static_cast<size_t>(c) * 4,
@@ -64,16 +66,14 @@ void WriteDirectory(const PagedFileInfo& geom, uint8_t* page) {
 }
 
 /// Geometry snapshot used by the writer (num_rows irrelevant there).
-PagedFileInfo MakeV2Geometry(int num_numeric, int num_boolean,
-                             uint32_t rows_per_page) {
+PagedFileInfo MakeGeometry(int num_numeric, int num_boolean,
+                           uint32_t rows_per_page) {
   PagedFileInfo geom;
   geom.num_numeric = num_numeric;
   geom.num_boolean = num_boolean;
   geom.row_bytes = static_cast<size_t>(num_numeric) * sizeof(double) +
                    static_cast<size_t>(num_boolean);
-  geom.format_version = 2;
   geom.rows_per_page = rows_per_page;
-  geom.header_bytes = kPagedFileV2HeaderBytes;
   return geom;
 }
 
@@ -102,8 +102,8 @@ size_t PagedFileInfo::page_stride() const {
 
 int64_t PagedFileInfo::num_pages() const {
   if (rows_per_page == 0) return 0;
-  return (num_rows + rows_per_page - 1) /
-         static_cast<int64_t>(rows_per_page);
+  const auto rpp = static_cast<int64_t>(rows_per_page);
+  return num_rows / rpp + (num_rows % rpp != 0 ? 1 : 0);
 }
 
 int64_t PagedFileInfo::rows_in_page(int64_t page) const {
@@ -112,7 +112,7 @@ int64_t PagedFileInfo::rows_in_page(int64_t page) const {
 }
 
 int64_t PagedFileInfo::zone_map_offset() const {
-  return static_cast<int64_t>(header_bytes) +
+  return static_cast<int64_t>(kPagedFileHeaderBytes) +
          num_pages() * static_cast<int64_t>(page_stride());
 }
 
@@ -123,7 +123,6 @@ size_t PagedFileInfo::zone_map_entry_bytes() const {
 
 Status ValidateV2Page(const PagedFileInfo& info, int64_t page_index,
                       std::span<const uint8_t> page) {
-  OPTRULES_CHECK(info.format_version == 2);
   OPTRULES_CHECK(page.size() == info.page_stride());
   for (int c = 0; c < info.num_numeric; ++c) {
     if (GetU32(page.data() + static_cast<size_t>(c) * 4) !=
@@ -200,56 +199,34 @@ Result<PagedFileWriter> PagedFileWriter::Create(
   PagedFileWriter writer;
   writer.file_ = file;
   writer.path_ = path;
-  writer.format_ = options.format;
   writer.num_numeric_ = num_numeric;
   writer.num_boolean_ = num_boolean;
-  writer.row_bytes_ = static_cast<size_t>(num_numeric) * sizeof(double) +
-                      static_cast<size_t>(num_boolean);
+  PagedFileInfo geom = MakeGeometry(num_numeric, num_boolean, 0);
+  geom.rows_per_page = options.rows_per_page != 0
+                           ? options.rows_per_page
+                           : AutoRowsPerPage(geom.row_bytes);
+  writer.rows_per_page_ = geom.rows_per_page;
+  writer.directory_bytes_ = geom.directory_bytes();
+  writer.page_stride_ = geom.page_stride();
+  writer.buffer_.assign(writer.page_stride_, 0);
+  WriteDirectory(geom, writer.buffer_.data());
+  writer.ResetZoneAccumulators();
+  writer.zone_trailer_.assign(kZoneMapTrailerPrefixBytes, 0);
+  PutU32(writer.zone_trailer_.data(), kZoneMapMagic);
 
-  const bool v2 = options.format == PagedFileFormat::kColumnarV2;
-  const size_t header_bytes =
-      v2 ? kPagedFileV2HeaderBytes : kPagedFileHeaderBytes;
-  uint8_t header[kPagedFileV2HeaderBytes] = {0};
+  uint8_t header[kPagedFileHeaderBytes] = {0};
   PutU32(header, kMagic);
-  PutU32(header + 4, static_cast<uint32_t>(options.format));
+  PutU32(header + 4, kVersion);
   PutU32(header + 8, static_cast<uint32_t>(num_numeric));
   PutU32(header + 12, static_cast<uint32_t>(num_boolean));
   PutU64(header + 16, 0);  // row count patched in Close().
-  if (v2) {
-    writer.rows_per_page_ = options.rows_per_page != 0
-                                ? options.rows_per_page
-                                : AutoRowsPerPage(writer.row_bytes_);
-    const PagedFileInfo geom =
-        MakeV2Geometry(num_numeric, num_boolean, writer.rows_per_page_);
-    writer.directory_bytes_ = geom.directory_bytes();
-    writer.page_stride_ = geom.page_stride();
-    writer.buffer_.assign(writer.page_stride_, 0);
-    WriteDirectory(geom, writer.buffer_.data());
-    PutU32(header + 24, writer.rows_per_page_);
-    writer.zone_maps_ = options.zone_maps;
-    PutU32(header + 28, writer.zone_maps_ ? kHeaderFlagZoneMaps : 0);
-    if (writer.zone_maps_) {
-      writer.ResetZoneAccumulators();
-      writer.zone_trailer_.assign(kZoneMapTrailerPrefixBytes, 0);
-      PutU32(writer.zone_trailer_.data(), kZoneMapMagic);
-    }
-  } else {
-    writer.buffer_.resize(std::max(options.buffer_bytes, writer.row_bytes_));
-  }
-  if (std::fwrite(header, 1, header_bytes, file) != header_bytes) {
+  PutU32(header + 24, writer.rows_per_page_);
+  PutU32(header + 28, kHeaderFlagZoneMaps);
+  if (std::fwrite(header, 1, sizeof(header), file) != sizeof(header)) {
     std::fclose(file);
     return Status::IoError("cannot write header: " + path);
   }
   return writer;
-}
-
-Result<PagedFileWriter> PagedFileWriter::Create(const std::string& path,
-                                                int num_numeric,
-                                                int num_boolean,
-                                                size_t buffer_bytes) {
-  PagedFileWriterOptions options;
-  options.buffer_bytes = buffer_bytes;
-  return Create(path, num_numeric, num_boolean, options);
 }
 
 PagedFileWriter::PagedFileWriter(PagedFileWriter&& other) noexcept {
@@ -263,18 +240,14 @@ PagedFileWriter& PagedFileWriter::operator=(
   file_ = other.file_;
   other.file_ = nullptr;
   path_ = std::move(other.path_);
-  format_ = other.format_;
   num_numeric_ = other.num_numeric_;
   num_boolean_ = other.num_boolean_;
-  row_bytes_ = other.row_bytes_;
   num_rows_ = other.num_rows_;
   buffer_ = std::move(other.buffer_);
-  buffer_used_ = other.buffer_used_;
   rows_per_page_ = other.rows_per_page_;
   directory_bytes_ = other.directory_bytes_;
   page_stride_ = other.page_stride_;
   row_in_page_ = other.row_in_page_;
-  zone_maps_ = other.zone_maps_;
   zone_min_ = std::move(other.zone_min_);
   zone_max_ = std::move(other.zone_max_);
   zone_bool_min_ = std::move(other.zone_bool_min_);
@@ -315,31 +288,11 @@ PagedFileWriter::~PagedFileWriter() {
   if (file_ != nullptr) std::fclose(file_);
 }
 
-Status PagedFileWriter::FlushBuffer() {
-  if (buffer_used_ == 0) return Status::Ok();
-  if (std::fwrite(buffer_.data(), 1, buffer_used_, file_) != buffer_used_) {
-    return Status::IoError("write failed: " + path_);
-  }
-  buffer_used_ = 0;
-  return Status::Ok();
-}
-
-Result<uint8_t*> PagedFileWriter::ReserveRow() {
-  OPTRULES_CHECK(file_ != nullptr);
-  if (buffer_used_ + row_bytes_ > buffer_.size()) {
-    OPTRULES_RETURN_IF_ERROR(FlushBuffer());
-  }
-  uint8_t* row = buffer_.data() + buffer_used_;
-  buffer_used_ += row_bytes_;
-  ++num_rows_;
-  return row;
-}
-
 Status PagedFileWriter::FlushPage() {
   if (std::fwrite(buffer_.data(), 1, page_stride_, file_) != page_stride_) {
     return Status::IoError("write failed: " + path_);
   }
-  if (zone_maps_) AppendZoneEntry();
+  AppendZoneEntry();
   // Clear the payload for the next page (the directory is identical on
   // every page and stays in place), so a final partial page is zero-padded
   // by construction rather than by a separate pass.
@@ -349,14 +302,22 @@ Status PagedFileWriter::FlushPage() {
   return Status::Ok();
 }
 
-Status PagedFileWriter::AppendRowV2(const double* numeric_values,
-                                    const uint8_t* boolean_values) {
+Status PagedFileWriter::AppendRowBytes(const uint8_t* numeric_bytes,
+                                       const uint8_t* boolean_values) {
   OPTRULES_CHECK(file_ != nullptr);
   uint8_t* page = buffer_.data();
   const size_t r = row_in_page_;
   size_t offset = directory_bytes_ + r * sizeof(double);
   for (int c = 0; c < num_numeric_; ++c) {
-    std::memcpy(page + offset, numeric_values + c, sizeof(double));
+    double v;
+    std::memcpy(&v, numeric_bytes + static_cast<size_t>(c) * sizeof(double),
+                sizeof(double));
+    std::memcpy(page + offset, &v, sizeof(double));
+    if (!std::isnan(v)) {
+      const auto i = static_cast<size_t>(c);
+      if (v < zone_min_[i]) zone_min_[i] = v;
+      if (v > zone_max_[i]) zone_max_[i] = v;
+    }
     offset += size_t{rows_per_page_} * sizeof(double);
   }
   offset = directory_bytes_ +
@@ -364,27 +325,12 @@ Status PagedFileWriter::AppendRowV2(const double* numeric_values,
                sizeof(double) +
            r;
   for (int b = 0; b < num_boolean_; ++b) {
-    page[offset] = boolean_values[b];
+    const uint8_t v = boolean_values[b];
+    page[offset] = v;
+    const auto i = static_cast<size_t>(b);
+    if (v < zone_bool_min_[i]) zone_bool_min_[i] = v;
+    if (v > zone_bool_max_[i]) zone_bool_max_[i] = v;
     offset += rows_per_page_;
-  }
-  if (zone_maps_) {
-    for (int c = 0; c < num_numeric_; ++c) {
-      const double v = numeric_values[c];
-      if (!std::isnan(v)) {
-        const auto i = static_cast<size_t>(c);
-        if (v < zone_min_[i]) zone_min_[i] = v;
-        if (v > zone_max_[i]) zone_max_[i] = v;
-      }
-    }
-    for (int b = 0; b < num_boolean_; ++b) {
-      const auto i = static_cast<size_t>(b);
-      if (boolean_values[b] < zone_bool_min_[i]) {
-        zone_bool_min_[i] = boolean_values[b];
-      }
-      if (boolean_values[b] > zone_bool_max_[i]) {
-        zone_bool_max_[i] = boolean_values[b];
-      }
-    }
   }
   ++row_in_page_;
   ++num_rows_;
@@ -393,88 +339,32 @@ Status PagedFileWriter::AppendRowV2(const double* numeric_values,
 }
 
 Status PagedFileWriter::AppendRawRow(const uint8_t* row) {
-  if (format_ == PagedFileFormat::kColumnarV2) {
-    // The row-major bytes may be unaligned (caller-owned buffer), so the
-    // doubles go through a memcpy-based scatter.
-    uint8_t* page = buffer_.data();
-    const size_t r = row_in_page_;
-    size_t offset = directory_bytes_ + r * sizeof(double);
-    for (int c = 0; c < num_numeric_; ++c) {
-      std::memcpy(page + offset, row + static_cast<size_t>(c) * 8,
-                  sizeof(double));
-      if (zone_maps_) {
-        double v;
-        std::memcpy(&v, row + static_cast<size_t>(c) * 8, sizeof(double));
-        if (!std::isnan(v)) {
-          const auto i = static_cast<size_t>(c);
-          if (v < zone_min_[i]) zone_min_[i] = v;
-          if (v > zone_max_[i]) zone_max_[i] = v;
-        }
-      }
-      offset += size_t{rows_per_page_} * sizeof(double);
-    }
-    const uint8_t* booleans = row + static_cast<size_t>(num_numeric_) * 8;
-    offset = directory_bytes_ +
-             static_cast<size_t>(num_numeric_) * rows_per_page_ *
-                 sizeof(double) +
-             r;
-    for (int b = 0; b < num_boolean_; ++b) {
-      page[offset] = booleans[b];
-      if (zone_maps_) {
-        const auto i = static_cast<size_t>(b);
-        if (booleans[b] < zone_bool_min_[i]) zone_bool_min_[i] = booleans[b];
-        if (booleans[b] > zone_bool_max_[i]) zone_bool_max_[i] = booleans[b];
-      }
-      offset += rows_per_page_;
-    }
-    ++row_in_page_;
-    ++num_rows_;
-    if (row_in_page_ == rows_per_page_) return FlushPage();
-    return Status::Ok();
-  }
-  Result<uint8_t*> slot = ReserveRow();
-  if (!slot.ok()) return slot.status();
-  std::memcpy(slot.value(), row, row_bytes_);
-  return Status::Ok();
+  return AppendRowBytes(
+      row, row + static_cast<size_t>(num_numeric_) * sizeof(double));
 }
 
 Status PagedFileWriter::AppendRow(std::span<const double> numeric_values,
                                   std::span<const uint8_t> boolean_values) {
   OPTRULES_CHECK(numeric_values.size() == static_cast<size_t>(num_numeric_));
   OPTRULES_CHECK(boolean_values.size() == static_cast<size_t>(num_boolean_));
-  if (format_ == PagedFileFormat::kColumnarV2) {
-    return AppendRowV2(numeric_values.data(), boolean_values.data());
-  }
-  // Serialize straight into the write buffer: Create() sizes it to hold at
-  // least one row, so arbitrarily wide schemas (the paper's "hundreds of
-  // numeric attributes") never hit a fixed-size staging array.
-  Result<uint8_t*> slot = ReserveRow();
-  if (!slot.ok()) return slot.status();
-  std::memcpy(slot.value(), numeric_values.data(),
-              numeric_values.size() * sizeof(double));
-  std::memcpy(slot.value() + numeric_values.size() * sizeof(double),
-              boolean_values.data(), boolean_values.size());
-  return Status::Ok();
+  return AppendRowBytes(
+      reinterpret_cast<const uint8_t*>(numeric_values.data()),
+      boolean_values.data());
 }
 
 Status PagedFileWriter::Close() {
   OPTRULES_CHECK(file_ != nullptr);
-  if (format_ == PagedFileFormat::kColumnarV2) {
-    if (row_in_page_ > 0) {
-      // Partial last page: the payload past row_in_page_ was never written
-      // and is still zero from FlushPage()/Create(), so flushing as-is
-      // gives the zero-padded tail readers assert on.
-      OPTRULES_RETURN_IF_ERROR(FlushPage());
-    }
-    if (zone_maps_ &&
-        std::fwrite(zone_trailer_.data(), 1, zone_trailer_.size(), file_) !=
-            zone_trailer_.size()) {
-      return Status::IoError("zone-map trailer write failed: " + path_);
-    }
-  } else {
-    OPTRULES_RETURN_IF_ERROR(FlushBuffer());
+  if (row_in_page_ > 0) {
+    // Partial last page: the payload past row_in_page_ was never written
+    // and is still zero from FlushPage()/Create(), so flushing as-is gives
+    // the zero-padded tail readers assert on.
+    OPTRULES_RETURN_IF_ERROR(FlushPage());
   }
-  // The row count lives at byte 16 in both header versions.
+  if (std::fwrite(zone_trailer_.data(), 1, zone_trailer_.size(), file_) !=
+      zone_trailer_.size()) {
+    return Status::IoError("zone-map trailer write failed: " + path_);
+  }
+  // The row count lives at byte 16 of the header.
   if (std::fseek(file_, 16, SEEK_SET) != 0) {
     return Status::IoError("seek failed: " + path_);
   }
@@ -498,11 +388,11 @@ Status PagedFileWriter::Close() {
 Result<PagedFileInfo> ReadPagedFileInfo(const std::string& path) {
   std::FILE* file = std::fopen(path.c_str(), "rb");
   if (file == nullptr) return Status::IoError("cannot open: " + path);
-  uint8_t header[kPagedFileV2HeaderBytes];
+  uint8_t header[kPagedFileHeaderBytes];
   const size_t got = std::fread(header, 1, sizeof(header), file);
+  const bool sized = std::fseek(file, 0, SEEK_END) == 0;
+  const long file_bytes = sized ? std::ftell(file) : -1;
   std::fclose(file);
-  // An empty v1 file is exactly 24 bytes, so only the common prefix is
-  // required up front; v2 needs the full 32.
   if (got < kPagedFileHeaderBytes) {
     return Status::Corruption("short header: " + path);
   }
@@ -510,33 +400,59 @@ Result<PagedFileInfo> ReadPagedFileInfo(const std::string& path) {
     return Status::Corruption("bad magic: " + path);
   }
   const uint32_t version = GetU32(header + 4);
-  if (version != 1 && version != 2) {
+  if (version == 1) {
+    return Status::Corruption("row-major version-1 file is not supported: " +
+                              path);
+  }
+  if (version != kVersion) {
     return Status::Corruption("unsupported version: " + path);
   }
+  if ((GetU32(header + 28) & kHeaderFlagZoneMaps) == 0) {
+    return Status::Corruption("file carries no zone maps: " + path);
+  }
+  const uint32_t num_numeric = GetU32(header + 8);
+  const uint32_t num_boolean = GetU32(header + 12);
+  const uint64_t num_rows = GetU64(header + 16);
+  constexpr auto kMaxCount =
+      static_cast<uint32_t>(std::numeric_limits<int>::max());
+  if (num_numeric > kMaxCount || num_boolean > kMaxCount ||
+      num_rows > static_cast<uint64_t>(std::numeric_limits<int64_t>::max())) {
+    return Status::Corruption("header count out of range: " + path);
+  }
+  if (num_numeric == 0 && num_boolean == 0) {
+    return Status::Corruption("no attributes: " + path);
+  }
   PagedFileInfo info;
-  info.format_version = version;
-  info.num_numeric = static_cast<int>(GetU32(header + 8));
-  info.num_boolean = static_cast<int>(GetU32(header + 12));
-  info.num_rows = static_cast<int64_t>(GetU64(header + 16));
+  info.num_numeric = static_cast<int>(num_numeric);
+  info.num_boolean = static_cast<int>(num_boolean);
+  info.num_rows = static_cast<int64_t>(num_rows);
   info.row_bytes = static_cast<size_t>(info.num_numeric) * sizeof(double) +
                    static_cast<size_t>(info.num_boolean);
-  if (version == 2) {
-    if (got < kPagedFileV2HeaderBytes) {
-      return Status::Corruption("short header: " + path);
-    }
-    info.header_bytes = kPagedFileV2HeaderBytes;
-    info.rows_per_page = GetU32(header + 24);
-    if (info.rows_per_page == 0) {
-      return Status::Corruption("zero rows_per_page: " + path);
-    }
-    info.has_zone_maps = (GetU32(header + 28) & kHeaderFlagZoneMaps) != 0;
+  info.rows_per_page = GetU32(header + 24);
+  if (info.rows_per_page == 0) {
+    return Status::Corruption("zero rows_per_page: " + path);
+  }
+  // The file must hold exactly the pages and trailer the header implies;
+  // computed in 128 bits so no header value can overflow the check (and,
+  // once it passes, every geometry product fits the file size).
+  using Wide = unsigned __int128;
+  const Wide columns = Wide{num_numeric} + num_boolean;
+  const Wide stride =
+      ((columns * 4 + 7) / 8) * 8 +
+      ((Wide{info.rows_per_page} * info.row_bytes + 7) / 8) * 8;
+  const Wide pages = static_cast<Wide>(info.num_pages());
+  const Wide expected =
+      Wide{kPagedFileHeaderBytes} + pages * stride +
+      kZoneMapTrailerPrefixBytes + pages * info.zone_map_entry_bytes();
+  if (file_bytes < 0 || expected != static_cast<Wide>(file_bytes)) {
+    return Status::Corruption(
+        "file size disagrees with header row count: " + path);
   }
   return info;
 }
 
 Result<ZoneMapIndex> ReadZoneMapIndex(const std::string& path,
                                       const PagedFileInfo& info) {
-  OPTRULES_CHECK(info.format_version == 2 && info.has_zone_maps);
   std::FILE* file = std::fopen(path.c_str(), "rb");
   if (file == nullptr) return Status::IoError("cannot open: " + path);
   const int64_t pages = info.num_pages();
@@ -702,11 +618,6 @@ Status WriteRelationToFile(const Relation& relation, const std::string& path,
   return writer.Close();
 }
 
-Status WriteRelationToFile(const Relation& relation,
-                           const std::string& path) {
-  return WriteRelationToFile(relation, path, PagedFileWriterOptions{});
-}
-
 Result<Relation> ReadRelationFromFile(const std::string& path,
                                       const Schema& schema) {
   Result<PagedFileInfo> info_or = ReadPagedFileInfo(path);
@@ -717,9 +628,15 @@ Result<Relation> ReadRelationFromFile(const std::string& path,
     return Status::InvalidArgument(
         "schema attribute counts do not match file: " + path);
   }
+  // Full-file loads are the integrity backstop: on top of the per-page
+  // directory/zero-tail checks, cross-check every zone-map entry against
+  // the actual page content.
+  Result<ZoneMapIndex> zones = ReadZoneMapIndex(path, info);
+  if (!zones.ok()) return zones.status();
   std::FILE* file = std::fopen(path.c_str(), "rb");
   if (file == nullptr) return Status::IoError("cannot open: " + path);
-  if (std::fseek(file, static_cast<long>(info.header_bytes), SEEK_SET) != 0) {
+  if (std::fseek(file, static_cast<long>(kPagedFileHeaderBytes), SEEK_SET) !=
+      0) {
     std::fclose(file);
     return Status::IoError("seek failed: " + path);
   }
@@ -727,63 +644,32 @@ Result<Relation> ReadRelationFromFile(const std::string& path,
   relation.Reserve(info.num_rows);
   std::vector<double> numeric_row(static_cast<size_t>(info.num_numeric));
   std::vector<uint8_t> boolean_row(static_cast<size_t>(info.num_boolean));
-  if (info.format_version == 2) {
-    // Full-file loads are the integrity backstop: on top of the per-page
-    // directory/zero-tail checks, cross-check every zone-map entry against
-    // the actual page content when the file carries them.
-    ZoneMapIndex zones;
-    if (info.has_zone_maps) {
-      Result<ZoneMapIndex> zones_or = ReadZoneMapIndex(path, info);
-      if (!zones_or.ok()) {
-        std::fclose(file);
-        return zones_or.status();
-      }
-      zones = std::move(zones_or).value();
-    }
-    std::vector<uint8_t> page(info.page_stride());
-    for (int64_t p = 0; p < info.num_pages(); ++p) {
-      if (std::fread(page.data(), 1, page.size(), file) != page.size()) {
-        std::fclose(file);
-        return Status::Corruption("truncated file: " + path);
-      }
-      Status valid = ValidateV2Page(info, p, page);
-      if (valid.ok() && info.has_zone_maps) {
-        valid = ValidateZoneMapEntry(info, zones, p, page);
-      }
-      if (!valid.ok()) {
-        std::fclose(file);
-        return valid;
-      }
-      const int64_t rows = info.rows_in_page(p);
-      for (int64_t r = 0; r < rows; ++r) {
-        for (int c = 0; c < info.num_numeric; ++c) {
-          std::memcpy(&numeric_row[static_cast<size_t>(c)],
-                      page.data() + info.numeric_run_offset(c) +
-                          static_cast<size_t>(r) * sizeof(double),
-                      sizeof(double));
-        }
-        for (int b = 0; b < info.num_boolean; ++b) {
-          boolean_row[static_cast<size_t>(b)] =
-              page[info.boolean_run_offset(b) + static_cast<size_t>(r)];
-        }
-        relation.AppendRow(numeric_row, boolean_row);
-      }
-    }
-    std::fclose(file);
-    return relation;
-  }
-  std::vector<uint8_t> row(info.row_bytes);
-  for (int64_t r = 0; r < info.num_rows; ++r) {
-    if (std::fread(row.data(), 1, info.row_bytes, file) != info.row_bytes) {
+  std::vector<uint8_t> page(info.page_stride());
+  for (int64_t p = 0; p < info.num_pages(); ++p) {
+    if (std::fread(page.data(), 1, page.size(), file) != page.size()) {
       std::fclose(file);
       return Status::Corruption("truncated file: " + path);
     }
-    std::memcpy(numeric_row.data(), row.data(),
-                numeric_row.size() * sizeof(double));
-    std::memcpy(boolean_row.data(),
-                row.data() + numeric_row.size() * sizeof(double),
-                boolean_row.size());
-    relation.AppendRow(numeric_row, boolean_row);
+    Status valid = ValidateV2Page(info, p, page);
+    if (valid.ok()) valid = ValidateZoneMapEntry(info, zones.value(), p, page);
+    if (!valid.ok()) {
+      std::fclose(file);
+      return valid;
+    }
+    const int64_t rows = info.rows_in_page(p);
+    for (int64_t r = 0; r < rows; ++r) {
+      for (int c = 0; c < info.num_numeric; ++c) {
+        std::memcpy(&numeric_row[static_cast<size_t>(c)],
+                    page.data() + info.numeric_run_offset(c) +
+                        static_cast<size_t>(r) * sizeof(double),
+                    sizeof(double));
+      }
+      for (int b = 0; b < info.num_boolean; ++b) {
+        boolean_row[static_cast<size_t>(b)] =
+            page[info.boolean_run_offset(b) + static_cast<size_t>(r)];
+      }
+      relation.AppendRow(numeric_row, boolean_row);
+    }
   }
   std::fclose(file);
   return relation;

@@ -1,22 +1,18 @@
-// Fixed-width binary table store, row-major (v1) or columnar (v2).
+// Fixed-width binary table store: columnar pages plus a zone-map trailer.
 //
 // This is the out-of-core substrate: the paper's motivating setting is a
 // database much larger than main memory, where sorting every numeric
 // attribute is prohibitively expensive and a single sequential scan is the
-// only affordable full-table access. PagedFile stores tables behind a small
-// header in one of two on-disk formats, and the readers scan them through
-// bounded buffers.
+// only affordable full-table access. PagedFile stores a table behind a
+// 32-byte header in ONE on-disk format, and the reader scans it page by
+// page through the BufferPool.
 //
-// v1 (row-major, 24-byte header):
-//   [magic u32][version=1][num_numeric u32][num_boolean u32][num_rows u64]
-//   row 0, row 1, ... (Schema::RowBytes() bytes each: doubles then booleans)
-//
-// v2 (columnar pages, 32-byte header):
 //   [magic u32][version=2][num_numeric u32][num_boolean u32][num_rows u64]
-//   [rows_per_page u32][reserved u32]
+//   [rows_per_page u32][flags u32 = 1: zone-map trailer present]
 //   page 0, page 1, ... (page_stride() bytes each, fixed stride)
+//   zone-map trailer (see ZoneMapIndex)
 //
-// Each v2 page holds rows_per_page rows split into per-column contiguous
+// Each page holds rows_per_page rows split into per-column contiguous
 // runs, so a scan can hand out column slices with zero transpose work:
 //
 //   [column-offset directory: (nn + nb) u32 entries, padded to 8 bytes]
@@ -35,6 +31,11 @@
 // into a file. Because the directory is padded to 8 bytes and pages start
 // at 8-byte multiples from an 8-byte-aligned header end, every numeric run
 // is 8-byte aligned inside a malloc'd page buffer.
+//
+// Version-1 (row-major) files and version-2 files without the zone-map
+// flag are no longer read: ReadPagedFileInfo rejects them as Corruption,
+// as it does a header whose counts overflow or whose row count the file's
+// size cannot hold.
 
 #ifndef OPTRULES_STORAGE_PAGED_FILE_H_
 #define OPTRULES_STORAGE_PAGED_FILE_H_
@@ -51,47 +52,25 @@
 
 namespace optrules::storage {
 
-/// Size of the v1 PagedFile header in bytes.
-inline constexpr size_t kPagedFileHeaderBytes = 24;
-/// Size of the v2 (columnar) PagedFile header in bytes.
-inline constexpr size_t kPagedFileV2HeaderBytes = 32;
-
-/// On-disk layout of a PagedFile; the numeric value is the header version.
-enum class PagedFileFormat : uint32_t {
-  kRowMajorV1 = 1,  ///< rows serialized back to back (legacy; still written
-                    ///< where a consumer needs fixed-width whole-row records,
-                    ///< e.g. as ExternalSort input)
-  kColumnarV2 = 2,  ///< per-column runs inside fixed-stride pages (default)
-};
+/// Size of the PagedFile header in bytes.
+inline constexpr size_t kPagedFileHeaderBytes = 32;
 
 /// Options for PagedFileWriter::Create.
 struct PagedFileWriterOptions {
-  PagedFileFormat format = PagedFileFormat::kColumnarV2;
-  /// Rows per v2 page; 0 = auto-size so a page's column payload is on the
-  /// order of 1 MiB (clamped to [256, 65536]). Ignored for v1.
+  /// Rows per page; 0 = auto-size so a page's column payload is on the
+  /// order of 1 MiB (clamped to [256, 65536]).
   uint32_t rows_per_page = 0;
-  /// Write-buffer size for v1 (v2 buffers exactly one page instead).
-  size_t buffer_bytes = 1 << 20;
-  /// v2 only: accumulate per-page per-column min/max (NaN-skipped) while
-  /// writing and append the zone-map trailer readers prune scans with.
-  /// Flagged in the header's reserved word; files written without zone
-  /// maps (and every v1 file) read everywhere, they just never prune.
-  bool zone_maps = true;
 };
 
-/// Buffered sequential writer of a PagedFile.
+/// Sequential writer of a PagedFile: stages one page at a time and
+/// accumulates its per-column min/max (NaN-skipped) for the zone-map
+/// trailer written by Close().
 class PagedFileWriter {
  public:
   /// Creates/truncates `path` for a table with the given attribute counts.
-  static Result<PagedFileWriter> Create(const std::string& path,
-                                        int num_numeric, int num_boolean,
-                                        const PagedFileWriterOptions& options);
-
-  /// Back-compat convenience: default options (columnar v2) with an
-  /// explicit v1-style buffer size.
-  static Result<PagedFileWriter> Create(const std::string& path,
-                                        int num_numeric, int num_boolean,
-                                        size_t buffer_bytes = 1 << 20);
+  static Result<PagedFileWriter> Create(
+      const std::string& path, int num_numeric, int num_boolean,
+      const PagedFileWriterOptions& options = {});
 
   PagedFileWriter(PagedFileWriter&& other) noexcept;
   PagedFileWriter& operator=(PagedFileWriter&& other) noexcept;
@@ -103,13 +82,14 @@ class PagedFileWriter {
   Status AppendRow(std::span<const double> numeric_values,
                    std::span<const uint8_t> boolean_values);
 
-  /// Appends one row already serialized in the v1 row layout (doubles then
-  /// boolean bytes). Works for both formats: the v2 writer scatters the
+  /// Appends one row serialized in the fixed-width row layout (doubles
+  /// then boolean bytes, possibly unaligned); the writer scatters the
   /// fields into its page's column runs, so producers that hash or route on
-  /// serialized row bytes (the partitioner) need no format awareness.
+  /// serialized row bytes (the partitioner) need no page awareness.
   Status AppendRawRow(const uint8_t* row);
 
-  /// Flushes (zero-padding a partial v2 page), patches the row count into
+  /// Flushes (zero-padding a partial last page), appends the zone-map
+  /// trailer, patches the row count into
   /// the header, and closes the file. Must be called exactly once before
   /// destruction for a valid file.
   Status Close();
@@ -119,40 +99,32 @@ class PagedFileWriter {
 
  private:
   PagedFileWriter() = default;
-  Status FlushBuffer();
-  /// v1: claims the next row_bytes_ slot in the write buffer (flushing
-  /// first if full) and returns its write pointer; advances the row count.
-  Result<uint8_t*> ReserveRow();
-  /// v2: writes the staged page (already zero-padded) and clears the
-  /// payload region for the next page.
+  /// Writes the staged page (already zero-padded) and clears the payload
+  /// region for the next page.
   Status FlushPage();
-  /// v2: scatters one row into the staged page's column runs.
-  Status AppendRowV2(const double* numeric_values,
-                     const uint8_t* boolean_values);
-  /// v2 zone maps: resets the staged page's per-column accumulators to the
-  /// empty sentinels (+inf/-inf, 1/0).
+  /// Scatters one row into the staged page's column runs. The numeric
+  /// values are read byte-wise, so they may be unaligned.
+  Status AppendRowBytes(const uint8_t* numeric_bytes,
+                        const uint8_t* boolean_values);
+  /// Resets the staged page's zone-map accumulators to the empty sentinels
+  /// (+inf/-inf, 1/0).
   void ResetZoneAccumulators();
-  /// v2 zone maps: appends the staged page's accumulated entry to the
-  /// trailer image and resets the accumulators.
+  /// Appends the staged page's accumulated zone-map entry to the trailer
+  /// image and resets the accumulators.
   void AppendZoneEntry();
 
   std::FILE* file_ = nullptr;
   std::string path_;
-  PagedFileFormat format_ = PagedFileFormat::kRowMajorV1;
   int num_numeric_ = 0;
   int num_boolean_ = 0;
-  size_t row_bytes_ = 0;
   int64_t num_rows_ = 0;
-  std::vector<uint8_t> buffer_;  ///< v1: row buffer; v2: one staged page
-  size_t buffer_used_ = 0;       ///< v1 only
-  // v2 page geometry (all zero for v1).
+  std::vector<uint8_t> buffer_;  ///< one staged page
   uint32_t rows_per_page_ = 0;
   size_t directory_bytes_ = 0;
   size_t page_stride_ = 0;
   uint32_t row_in_page_ = 0;
-  // v2 zone maps: per-column accumulators of the page being staged, plus
-  // the growing trailer image appended to the file in Close().
-  bool zone_maps_ = false;
+  // Per-column zone-map accumulators of the page being staged, plus the
+  // growing trailer image appended to the file in Close().
   std::vector<double> zone_min_;
   std::vector<double> zone_max_;
   std::vector<uint8_t> zone_bool_min_;
@@ -160,21 +132,15 @@ class PagedFileWriter {
   std::vector<uint8_t> zone_trailer_;
 };
 
-/// Metadata of an open PagedFile, with the v2 page geometry derived from
-/// the header fields (the same formulas the writer used).
+/// Metadata of an open PagedFile, with the page geometry derived from the
+/// header fields (the same formulas the writer used).
 struct PagedFileInfo {
   int num_numeric = 0;
   int num_boolean = 0;
   int64_t num_rows = 0;
-  size_t row_bytes = 0;  ///< v1 row width (also the logical row width of v2)
-  uint32_t format_version = 1;
-  uint32_t rows_per_page = 0;  ///< v2 only; 0 for v1
-  size_t header_bytes = kPagedFileHeaderBytes;
-  /// v2 only: the file carries a zone-map trailer after the last page
-  /// (bit 0 of the header's reserved word).
-  bool has_zone_maps = false;
+  size_t row_bytes = 0;  ///< logical row width (doubles then booleans)
+  uint32_t rows_per_page = 0;
 
-  /// v2 geometry. All require format_version == 2.
   size_t directory_bytes() const;
   /// Byte offset of numeric column `c`'s run inside a page.
   size_t numeric_run_offset(int c) const;
@@ -193,7 +159,7 @@ struct PagedFileInfo {
   size_t zone_map_entry_bytes() const;
 };
 
-/// In-memory zone-map index of one v2 file: per page and per column the
+/// In-memory zone-map index of one file: per page and per column the
 /// min/max over the stored values, with NaNs skipped. A page whose numeric
 /// column saw only NaNs carries the empty sentinel (min = +inf > max =
 /// -inf); Boolean min/max are 0/1 bytes, so max == 0 means "no true row in
@@ -226,10 +192,9 @@ struct ZoneMapIndex {
 };
 
 /// Loads and validates the zone-map trailer of `path` (info must come from
-/// ReadPagedFileInfo on the same file and have has_zone_maps set). Fails
-/// with Corruption on a bad trailer magic, a trailer whose size disagrees
-/// with the page count, NaN bounds, inverted non-sentinel bounds, or
-/// non-0/1 Boolean bounds.
+/// ReadPagedFileInfo on the same file). Fails with Corruption on a bad
+/// trailer magic, a trailer whose size disagrees with the page count, NaN
+/// bounds, inverted non-sentinel bounds, or non-0/1 Boolean bounds.
 Result<ZoneMapIndex> ReadZoneMapIndex(const std::string& path,
                                       const PagedFileInfo& info);
 
@@ -239,24 +204,26 @@ Status ValidateZoneMapEntry(const PagedFileInfo& info,
                             const ZoneMapIndex& zones, int64_t page_index,
                             std::span<const uint8_t> page);
 
-/// Validates one v2 page image against the derived geometry: the stored
+/// Validates one page image against the derived geometry: the stored
 /// column-offset directory must match, and on a partial (last) page every
 /// byte past the stored rows must be zero -- the writer's stale-byte
 /// guarantee. `page.size()` must equal info.page_stride().
 Status ValidateV2Page(const PagedFileInfo& info, int64_t page_index,
                       std::span<const uint8_t> page);
 
-/// Reads and validates the header of `path` (either format version).
+/// Reads and validates the header of `path`. Fails with Corruption on a
+/// bad magic, a version other than 2, a missing zone-map flag, attribute or
+/// row counts beyond int32/int64, zero columns, zero rows_per_page, or a
+/// file size that disagrees with the header (pages + trailer).
 Result<PagedFileInfo> ReadPagedFileInfo(const std::string& path);
 
 /// Writes an entire in-memory relation to `path` in PagedFile format.
-Status WriteRelationToFile(const Relation& relation, const std::string& path);
 Status WriteRelationToFile(const Relation& relation, const std::string& path,
-                           const PagedFileWriterOptions& options);
+                           const PagedFileWriterOptions& options = {});
 
-/// Loads an entire PagedFile (either format) into memory. `schema` must
-/// match the stored attribute counts; pass Schema::Synthetic(...) when
-/// names don't matter.
+/// Loads an entire PagedFile into memory, cross-checking every page
+/// against its zone-map entry. `schema` must match the stored attribute
+/// counts; pass Schema::Synthetic(...) when names don't matter.
 Result<Relation> ReadRelationFromFile(const std::string& path,
                                       const Schema& schema);
 

@@ -1,6 +1,8 @@
 // Tests for bucket boundaries, samplers, counting, parallelism, and the
 // Section 3.4 error bounds.
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -414,6 +416,43 @@ TEST(SortBucketizerFileTest, RejectsBadAttribute) {
                                            1 << 16, testing::TempDir())
                    .ok());
   std::remove(table.c_str());
+}
+
+TEST(SortBucketizerFileTest, TruncatedTableIsCorruption) {
+  // A 1000-row table cut back to its first 256-row page must not yield
+  // cut points ranked over the rows that survived.
+  storage::Relation relation(storage::Schema::Synthetic(1, 1));
+  for (int i = 0; i < 1000; ++i) {
+    const double v = static_cast<double>(i);
+    const uint8_t f = 0;
+    relation.AppendRow(std::span<const double>(&v, 1),
+                       std::span<const uint8_t>(&f, 1));
+  }
+  const std::string table = testing::TempDir() + "/truncated.optr";
+  storage::PagedFileWriterOptions options;
+  options.rows_per_page = 256;
+  ASSERT_TRUE(storage::WriteRelationToFile(relation, table, options).ok());
+  Result<storage::PagedFileInfo> info = storage::ReadPagedFileInfo(table);
+  ASSERT_TRUE(info.ok());
+  ASSERT_EQ(::truncate(table.c_str(),
+                       static_cast<off_t>(storage::kPagedFileHeaderBytes +
+                                          info.value().page_stride())),
+            0);
+  EXPECT_EQ(NaiveSortBoundariesFromFile(table, 0, 4,
+                                        testing::TempDir() + "/trunc.sorted",
+                                        1 << 16, testing::TempDir())
+                .status()
+                .code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(VerticalSplitSortBoundariesFromFile(
+                table, 0, 4, testing::TempDir() + "/trunc.split", 1 << 16,
+                testing::TempDir())
+                .status()
+                .code(),
+            StatusCode::kCorruption);
+  std::remove(table.c_str());
+  std::remove((testing::TempDir() + "/trunc.sorted").c_str());
+  std::remove((testing::TempDir() + "/trunc.split").c_str());
 }
 
 // -------------------------------------------------------- error bounds ----

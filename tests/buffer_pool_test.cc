@@ -2,14 +2,17 @@
 // the pooled read path built on it: hit/miss/eviction accounting, load
 // deduplication, the soft capacity budget (pinned frames are never
 // evicted, so concurrent pinned readers overshoot instead of
-// deadlocking), capacity-1 thrash, file-generation invalidation, and the
-// acceptance invariant -- scans of every flavor sharing one pool are
-// bit-identical to the unpooled (pool == nullptr) reference path.
+// deadlocking), capacity-0/1 behavior, file-generation invalidation, and
+// the acceptance invariant -- paged scans of every flavor, whatever pool
+// they share, are bit-identical to the in-memory RelationBatchSource
+// oracle.
 //
 // The concurrency tests here are the ones check-tsan/check-asan lean on:
-// many threads pin, thrash, and evict against one pool while pooled
-// double-buffered readers (each with its own prefetch thread) stream the
-// same file.
+// many threads pin, thrash, and evict against one pool while paged readers
+// (each with its own prefetch thread handing pins to its consumer) stream
+// the same file. check-tsan also re-runs this suite with
+// OPTRULES_BUFFER_POOL_BYTES=0, so the handoff is race-checked over
+// capacity-0 pools too.
 
 #include <atomic>
 #include <cmath>
@@ -194,22 +197,30 @@ TEST(BufferPoolTest, CapacityOnePoolThrashesCorrectly) {
   EXPECT_LE(stats.evictions, stats.misses);
 }
 
-TEST(BufferPoolTest, PrefetchWarmsWithoutTouchingCounters) {
-  BufferPool pool(8 * kPageBytes);
+TEST(BufferPoolTest, CapacityZeroPoolRetainsOnlyPinnedFrames) {
+  // The no-cache mode: a pinned frame is shared by concurrent fetchers,
+  // and released frames are dropped at once.
+  BufferPool pool(0);
   std::atomic<int> loads{0};
-  pool.Prefetch(4, 9, kPageBytes, PatternLoader(4, 9, &loads));
-  EXPECT_EQ(loads.load(), 1);
-  BufferPool::Stats stats = pool.stats();
-  EXPECT_EQ(stats.hits, 0);
-  EXPECT_EQ(stats.misses, 0);
-
+  Result<BufferPool::Pin> first =
+      pool.Fetch(4, 9, kPageBytes, PatternLoader(4, 9, &loads));
+  ASSERT_TRUE(first.ok());
   bool was_hit = false;
-  Result<BufferPool::Pin> pin =
+  Result<BufferPool::Pin> second =
       pool.Fetch(4, 9, kPageBytes, PatternLoader(4, 9, &loads), &was_hit);
-  ASSERT_TRUE(pin.ok());
+  ASSERT_TRUE(second.ok());
   EXPECT_TRUE(was_hit);
-  EXPECT_EQ(loads.load(), 1);  // served from the prefetched frame
-  ExpectPattern(pin.value(), 4, 9);
+  EXPECT_EQ(loads.load(), 1);
+  ExpectPattern(second.value(), 4, 9);
+  EXPECT_EQ(pool.bytes_used(), kPageBytes);
+  first.value().Reset();
+  second.value().Reset();
+  EXPECT_EQ(pool.bytes_used(), 0u);
+  Result<BufferPool::Pin> third =
+      pool.Fetch(4, 9, kPageBytes, PatternLoader(4, 9, &loads), &was_hit);
+  ASSERT_TRUE(third.ok());
+  EXPECT_FALSE(was_hit);
+  EXPECT_EQ(loads.load(), 2);
 }
 
 TEST(BufferPoolTest, RewritingAFileYieldsAFreshGeneration) {
@@ -286,7 +297,7 @@ void ExpectPlansBitIdentical(const MultiCountPlan& a,
   ASSERT_EQ(state_a, state_b);
 }
 
-TEST(PooledScanTest, AllReadModesSharingOnePoolMatchBypassBitExactly) {
+TEST(PooledScanTest, ScansOverEveryPoolMatchInMemoryOracleBitExactly) {
   const std::string path = testing::TempDir() + "/pool_scan.optr";
   const storage::Relation relation = PooledTestRelation(20000, 99);
   PagedFileWriterOptions options;
@@ -305,64 +316,47 @@ TEST(PooledScanTest, AllReadModesSharingOnePoolMatchBypassBitExactly) {
   const MultiCountSpec spec = PooledTestSpec(base);
 
   // A pool two pages big: every scan flavor below thrashes and evicts.
-  BufferPool pool(2 * 512 * relation.schema().num_numeric() *
-                  sizeof(double));
+  BufferPool small_pool(2 * 512 * relation.schema().num_numeric() *
+                        sizeof(double));
   ThreadPool threads(4);
 
-  // Pooling must never change a bit of the SAME execution schedule, so
-  // each scenario is compared against its own bypass (pool == nullptr)
-  // run -- the row-sharded schedule's Neumaier sums legitimately differ
-  // from the serial chain in the last ulp, but never pooled vs unpooled.
-  struct Scenario {
-    PagedReadMode mode;
-    int64_t batch_rows;
-    bool sharded;
-  };
-  const Scenario scenarios[] = {
-      {PagedReadMode::kSynchronous, 777, false},
-      {PagedReadMode::kDoubleBuffered, 777, false},
-      {PagedReadMode::kDoubleBuffered, kDefaultBatchRows, true},  // sharded
-  };
-  MultiCountPlan reference(spec);  // serial bypass: the repo-wide baseline
-  {
-    Result<std::unique_ptr<PagedFileBatchSource>> source =
-        PagedFileBatchSource::Open(path, 777,
-                                   PagedReadMode::kDoubleBuffered, nullptr);
-    ASSERT_TRUE(source.ok());
-    bucketing::ExecuteMultiCount(*source.value(), &reference, nullptr);
-  }
-  for (const Scenario& scenario : scenarios) {
-    MultiCountPlan bypass(spec);
-    {
+  // The oracle runs the SAME execution schedule over the in-memory rows:
+  // the row-sharded schedule's Neumaier sums legitimately differ from the
+  // serial chain in the last ulp, but never paged vs in-memory (the shard
+  // layout is a pure function of the row count).
+  RelationBatchSource in_memory(&relation, 777);
+  MultiCountPlan serial_oracle(spec);
+  bucketing::ExecuteMultiCount(in_memory, &serial_oracle, nullptr);
+  MultiCountPlan sharded_oracle(spec);
+  bucketing::ExecuteMultiCount(in_memory, &sharded_oracle, &threads);
+
+  // nullptr = the source's own capacity-0 pool (the no-cache mode).
+  for (BufferPool* pool : {static_cast<BufferPool*>(nullptr), &small_pool,
+                           BufferPool::Default()}) {
+    for (const bool sharded : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << "pool " << (pool == nullptr ? "none" : "shared")
+                   << (sharded ? ", sharded" : ", serial"));
+      MultiCountPlan paged(spec);
       Result<std::unique_ptr<PagedFileBatchSource>> source =
-          PagedFileBatchSource::Open(path, scenario.batch_rows,
-                                     scenario.mode, nullptr);
+          PagedFileBatchSource::Open(path, 777, pool);
       ASSERT_TRUE(source.ok());
-      bucketing::ExecuteMultiCount(*source.value(), &bypass,
-                                   scenario.sharded ? &threads : nullptr);
+      bucketing::ExecuteMultiCount(*source.value(), &paged,
+                                   sharded ? &threads : nullptr);
+      ExpectPlansBitIdentical(sharded ? sharded_oracle : serial_oracle,
+                              paged);
     }
-    MultiCountPlan pooled(spec);
-    Result<std::unique_ptr<PagedFileBatchSource>> source =
-        PagedFileBatchSource::Open(path, scenario.batch_rows,
-                                   scenario.mode, &pool);
-    ASSERT_TRUE(source.ok());
-    bucketing::ExecuteMultiCount(*source.value(), &pooled,
-                                 scenario.sharded ? &threads : nullptr);
-    ExpectPlansBitIdentical(bypass, pooled);
-    if (!scenario.sharded) ExpectPlansBitIdentical(reference, pooled);
   }
 
-  // Two concurrent double-buffered scans over one pool: each must still
-  // be bit-identical (shared frames, shared evictions, private pins).
+  // Two concurrent scans over one pool: each must still be bit-identical
+  // (shared frames, shared evictions, private pins).
   {
     MultiCountPlan plan_a(spec);
     MultiCountPlan plan_b(spec);
     Result<std::unique_ptr<PagedFileBatchSource>> source_a =
-        PagedFileBatchSource::Open(path, 1024,
-                                   PagedReadMode::kDoubleBuffered, &pool);
+        PagedFileBatchSource::Open(path, 1024, &small_pool);
     Result<std::unique_ptr<PagedFileBatchSource>> source_b =
-        PagedFileBatchSource::Open(path, 333,
-                                   PagedReadMode::kDoubleBuffered, &pool);
+        PagedFileBatchSource::Open(path, 333, &small_pool);
     ASSERT_TRUE(source_a.ok());
     ASSERT_TRUE(source_b.ok());
     std::thread other([&] {
@@ -370,11 +364,9 @@ TEST(PooledScanTest, AllReadModesSharingOnePoolMatchBypassBitExactly) {
     });
     bucketing::ExecuteMultiCount(*source_a.value(), &plan_a, nullptr);
     other.join();
-    ExpectPlansBitIdentical(reference, plan_a);
-    ExpectPlansBitIdentical(reference, plan_b);
+    ExpectPlansBitIdentical(serial_oracle, plan_a);
+    ExpectPlansBitIdentical(serial_oracle, plan_b);
 
-    // The second pass over a warm (if small) pool must have found SOME
-    // frames resident; stats flow through SourceStats.
     const BatchSourceStats stats = source_a.value()->SourceStats();
     EXPECT_GT(stats.cache_hits + stats.cache_misses, 0);
   }
@@ -391,8 +383,7 @@ TEST(PooledScanTest, WarmRerunOverLargePoolHitsEveryPage) {
   BufferPool pool(size_t{64} << 20);  // everything fits
   for (int pass = 0; pass < 2; ++pass) {
     Result<std::unique_ptr<PagedFileBatchSource>> source =
-        PagedFileBatchSource::Open(path, kDefaultBatchRows,
-                                   PagedReadMode::kDoubleBuffered, &pool);
+        PagedFileBatchSource::Open(path, kDefaultBatchRows, &pool);
     ASSERT_TRUE(source.ok());
     std::unique_ptr<BatchReader> reader = source.value()->CreateReader();
     ColumnarBatch batch;
@@ -402,7 +393,7 @@ TEST(PooledScanTest, WarmRerunOverLargePoolHitsEveryPage) {
     EXPECT_EQ(rows, relation.NumRows());
     const BatchSourceStats stats = source.value()->SourceStats();
     if (pass == 1) {
-      // Warm rerun: every demand fetch finds the resident frame.
+      // Warm rerun: every fetch finds the resident frame.
       EXPECT_EQ(stats.cache_misses, 0);
       EXPECT_GT(stats.cache_hits, 0);
       EXPECT_EQ(stats.cache_hit_rate(), 1.0);

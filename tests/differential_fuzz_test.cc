@@ -9,7 +9,7 @@
 // its own deep sweep beyond the per-module property tests. Third, the
 // two-dimensional layer: grid channels against the row-at-a-time
 // region::BuildGrid reference (random rectangular grids, NaN rates, and
-// schemas; relations AND paged files, synchronous and double-buffered)
+// schemas; relations AND paged files, cached and capacity-0 pools)
 // and engine region mining against Miner::MineOptimizedRegion bit for
 // bit.
 //
@@ -55,30 +55,27 @@ namespace {
 
 using testfuzz::FuzzSeed;
 
-/// Alternates the on-disk format across fuzz rounds so every paged-file
-/// sweep covers columnar v2 (auto and tiny multi-page geometries) AND the
-/// legacy row-major v1 layout with the same data.
+/// Alternates the page geometry across fuzz rounds so every paged-file
+/// sweep covers auto-sized pages, tiny multi-page files with a partial
+/// tail, and an odd page size with the same data.
 storage::PagedFileWriterOptions FuzzFileFormat(int round) {
   storage::PagedFileWriterOptions options;
-  if (round % 2 == 1) {
-    options.format = storage::PagedFileFormat::kRowMajorV1;
-  } else if (round % 4 == 2) {
+  if (round % 3 == 1) {
     options.rows_per_page = 64;  // force multiple pages + a partial tail
+  } else if (round % 3 == 2) {
+    options.rows_per_page = 200;
   }
-  // Zone maps come and go across rounds: every reader must accept
-  // trailer-less v2 files, and pruning may only ever be an optimization.
-  options.zone_maps = round % 3 != 0;
   return options;
 }
 
-/// Rotates the page-cache configuration across paged fuzz rounds: the
-/// unpooled bypass reference path, a deliberately thrashing tiny pool,
-/// and a holds-everything large pool. The pool (when any) must outlive
-/// every source opened against it.
+/// Rotates the page-cache configuration across paged fuzz rounds: no
+/// shared cache (each source pages through its own capacity-0 pool), a
+/// deliberately thrashing tiny pool, and a holds-everything large pool.
+/// The pool (when any) must outlive every source opened against it.
 std::unique_ptr<storage::BufferPool> FuzzPool(int round) {
   switch (round % 3) {
     case 0:
-      return nullptr;  // bypass: the uncached direct read path, no pruning
+      return nullptr;  // the source's own capacity-0 pool
     case 1:
       return std::make_unique<storage::BufferPool>(size_t{1} << 14);
     default:
@@ -368,8 +365,7 @@ TEST(EngineDifferentialFuzzTest, NanLadenPagedFilesMatchInMemoryEngine) {
             .ok());
     const std::unique_ptr<storage::BufferPool> pool = FuzzPool(round);
     auto source_or = storage::PagedFileBatchSource::Open(
-        path, 128 + static_cast<int64_t>(rng.NextBounded(900)),
-        storage::PagedReadMode::kDoubleBuffered, pool.get());
+        path, 128 + static_cast<int64_t>(rng.NextBounded(900)), pool.get());
     ASSERT_TRUE(source_or.ok());
 
     MiningEngine memory_engine(&relation, options);
@@ -584,7 +580,7 @@ void ExpectGridMatchesReference(const bucketing::GridBucketCounts& cells,
 TEST(RegionDifferentialFuzzTest, GridChannelMatchesBuildGridEverywhere) {
   // Random NaN-laden schemas and random RECTANGULAR grids (nx != ny,
   // random cut points, x may equal y), counted through the grid channel
-  // over an in-memory relation, a paged file in both read modes, and a
+  // over an in-memory relation, a paged file (cached and capacity-0), and a
   // pooled row-sharded scan -- every path must reproduce the
   // row-at-a-time BuildGrid reference cell for cell, for every Boolean
   // target.
@@ -647,19 +643,17 @@ TEST(RegionDifferentialFuzzTest, GridChannelMatchesBuildGridEverywhere) {
       ExpectGridMatchesReference(plan.grid_counts(0), relation, x_attr,
                                  y_attr, bx, by, round);
     }
-    // Paged file, synchronous and double-buffered.
+    // Paged file, over the round's pool and over a capacity-0 pool.
     const std::string path = testing::TempDir() + "/fuzz_grid_" +
                              std::to_string(round) + ".optr";
     ASSERT_TRUE(
         storage::WriteRelationToFile(relation, path, FuzzFileFormat(round))
             .ok());
     const std::unique_ptr<storage::BufferPool> file_pool = FuzzPool(round);
-    for (const storage::PagedReadMode mode :
-         {storage::PagedReadMode::kSynchronous,
-          storage::PagedReadMode::kDoubleBuffered}) {
+    for (storage::BufferPool* pool :
+         {file_pool.get(), static_cast<storage::BufferPool*>(nullptr)}) {
       auto source_or = storage::PagedFileBatchSource::Open(
-          path, 128 + static_cast<int64_t>(rng.NextBounded(400)), mode,
-          file_pool.get());
+          path, 128 + static_cast<int64_t>(rng.NextBounded(400)), pool);
       ASSERT_TRUE(source_or.ok());
       bucketing::MultiCountPlan plan(make_spec());
       bucketing::ExecuteMultiCount(*source_or.value(), &plan, nullptr);
@@ -719,10 +713,10 @@ TEST(RegionDifferentialFuzzTest, EngineRegionsMatchLegacyMiner) {
 }
 
 TEST(RegionDifferentialFuzzTest, PagedEngineRegionsMatchMemoryEngine) {
-  // Out-of-core 2-D mining: the paged-file engine (synchronous AND
-  // double-buffered) must reproduce the in-memory engine's regions bit
-  // for bit (GK boundaries keep planning deterministic across the column
-  // and batch paths).
+  // Out-of-core 2-D mining: the paged-file engine (over the round's pool
+  // AND a capacity-0 pool) must reproduce the in-memory engine's regions
+  // bit for bit (GK boundaries keep planning deterministic across the
+  // column and batch paths).
   Rng rng(FuzzSeed(11235));
   for (int round = 0; round < 5; ++round) {
     const storage::Relation relation = RandomNanRelation(rng);
@@ -746,12 +740,10 @@ TEST(RegionDifferentialFuzzTest, PagedEngineRegionsMatchMemoryEngine) {
         storage::WriteRelationToFile(relation, path, FuzzFileFormat(round))
             .ok());
     const std::unique_ptr<storage::BufferPool> file_pool = FuzzPool(round);
-    for (const storage::PagedReadMode mode :
-         {storage::PagedReadMode::kSynchronous,
-          storage::PagedReadMode::kDoubleBuffered}) {
+    for (storage::BufferPool* pool :
+         {file_pool.get(), static_cast<storage::BufferPool*>(nullptr)}) {
       auto source_or = storage::PagedFileBatchSource::Open(
-          path, 128 + static_cast<int64_t>(rng.NextBounded(600)), mode,
-          file_pool.get());
+          path, 128 + static_cast<int64_t>(rng.NextBounded(600)), pool);
       ASSERT_TRUE(source_or.ok());
       MiningEngine file_engine(source_or.value().get(), schema, options);
       ASSERT_TRUE(file_engine.RequestRegionPair(x, y).ok());
@@ -819,7 +811,7 @@ TEST(EngineDifferentialFuzzTest, SelectiveConditionPruningIsExact) {
   // Boolean is true only inside a narrow random window, so almost every
   // page carries no true condition byte and every (conditional) unit of
   // the spec is provably dead there. The pooled scan must actually skip
-  // pages AND still reproduce the unpooled, unpruned reference bit for
+  // pages AND still reproduce the unpruned in-memory reference bit for
   // bit -- skipped rows may contribute nothing but total_tuples.
   Rng rng(FuzzSeed(80808));
   int64_t pages_skipped = 0;
@@ -867,27 +859,24 @@ TEST(EngineDifferentialFuzzTest, SelectiveConditionPruningIsExact) {
     ASSERT_TRUE(
         storage::WriteRelationToFile(relation, path, file_options).ok());
 
-    const storage::PagedReadMode mode =
-        round % 2 == 0 ? storage::PagedReadMode::kSynchronous
-                       : storage::PagedReadMode::kDoubleBuffered;
     const int64_t batch_rows =
         64 + static_cast<int64_t>(rng.NextBounded(500));
 
     bucketing::MultiCountPlan reference(spec);
-    {
-      auto bypass_or = storage::PagedFileBatchSource::Open(
-          path, batch_rows, mode, /*pool=*/nullptr);
-      ASSERT_TRUE(bypass_or.ok());
-      bucketing::ExecuteMultiCount(*bypass_or.value(), &reference, nullptr);
-    }
+    storage::RelationBatchSource in_memory(&relation, batch_rows);
+    bucketing::ExecuteMultiCount(in_memory, &reference, nullptr);
+    // Pruning runs over a shared cache and over a capacity-0 pool alike.
     storage::BufferPool cache(storage::kDefaultBufferPoolBytes);
-    auto pooled_or =
-        storage::PagedFileBatchSource::Open(path, batch_rows, mode, &cache);
-    ASSERT_TRUE(pooled_or.ok());
-    bucketing::MultiCountPlan pruned(spec);
-    bucketing::ExecuteMultiCount(*pooled_or.value(), &pruned, nullptr);
-    ExpectIdenticalPlans(pruned, reference, round);
-    pages_skipped += pooled_or.value()->SourceStats().pages_skipped;
+    for (storage::BufferPool* pool :
+         {&cache, static_cast<storage::BufferPool*>(nullptr)}) {
+      auto paged_or =
+          storage::PagedFileBatchSource::Open(path, batch_rows, pool);
+      ASSERT_TRUE(paged_or.ok());
+      bucketing::MultiCountPlan pruned(spec);
+      bucketing::ExecuteMultiCount(*paged_or.value(), &pruned, nullptr);
+      ExpectIdenticalPlans(pruned, reference, round);
+      pages_skipped += paged_or.value()->SourceStats().pages_skipped;
+    }
     std::remove(path.c_str());
   }
   // Across the sweep the clustered condition must have made pruning fire.
@@ -990,9 +979,6 @@ TEST(DistDifferentialFuzzTest, PartitionedScanMatchesSingleRelation) {
         static_cast<int>(rng.NextBounded(
             static_cast<uint64_t>(partition_options.num_partitions) + 1));
     scan_options.batch_rows = 64 + static_cast<int64_t>(rng.NextBounded(500));
-    scan_options.read_mode = rng.NextBernoulli(0.5)
-                                 ? storage::PagedReadMode::kSynchronous
-                                 : storage::PagedReadMode::kDoubleBuffered;
     // Subprocess workers on alternating rounds (when the daemon binary is
     // available); both kinds must be bit-identical to the reference.
     if (have_workerd && round % 2 == 1) {
@@ -1085,9 +1071,6 @@ TEST(DistDifferentialFuzzTest, FaultInjectedScanMatchesSingleRelation) {
     scan_options.max_workers = 1 + static_cast<int>(rng.NextBounded(
         static_cast<uint64_t>(partition_options.num_partitions)));
     scan_options.batch_rows = 64 + static_cast<int64_t>(rng.NextBounded(500));
-    scan_options.read_mode = rng.NextBernoulli(0.5)
-                                 ? storage::PagedReadMode::kSynchronous
-                                 : storage::PagedReadMode::kDoubleBuffered;
     scan_options.scheduling = rng.NextBernoulli(0.5)
                                   ? dist::ScanScheduling::kWorkQueue
                                   : dist::ScanScheduling::kStatic;

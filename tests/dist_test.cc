@@ -536,13 +536,11 @@ TEST(WireTest, ScanRequestRoundTrips) {
   const MultiCountSpec spec =
       MakeMixedSpec(relation.schema(), base, grid_y);
   std::vector<uint8_t> payload;
-  EncodeScanRequest("/some/partition.optr", 1234,
-                    storage::PagedReadMode::kSynchronous, spec, &payload);
+  EncodeScanRequest("/some/partition.optr", 1234, spec, &payload);
   Result<ScanRequestFrame> frame = DecodeScanRequest(payload);
   ASSERT_TRUE(frame.ok()) << frame.status().ToString();
   EXPECT_EQ(frame.value().partition_path, "/some/partition.optr");
   EXPECT_EQ(frame.value().batch_rows, 1234);
-  EXPECT_EQ(frame.value().read_mode, storage::PagedReadMode::kSynchronous);
   const MultiCountSpec& decoded = frame.value().spec;
   EXPECT_EQ(decoded.num_targets, spec.num_targets);
   EXPECT_EQ(decoded.conditions, spec.conditions);
@@ -842,59 +840,63 @@ TEST(CoordinatorTest, MergeIsIdenticalForAnyWorkerCount) {
   }
 }
 
-TEST(CoordinatorTest, MixedFormatPartitionsScanIdentically) {
-  // A PartitionedTable may hold a mix of on-disk format versions (e.g.
-  // partitions written before and after the columnar v2 rollout). The
-  // manifest records rows and schema, not layout; every reader negotiates
-  // the version per file, so a mixed table must validate and scan
-  // bit-identically to the all-v2 table it started as.
+TEST(CoordinatorTest, LegacyFormatPartitionIsCorruption) {
+  // Partitions written in the retired row-major version-1 layout are no
+  // longer read: a table holding one fails Open with Corruption, and a
+  // partition swapped for one after Open fails the scan with a Status
+  // (never a CHECK) on both worker kinds.
   const storage::Relation relation = TestRelation(700, 23);
   const std::vector<BucketBoundaries> base = BaseBoundaries(relation, 11);
   const BucketBoundaries grid_y = BucketBoundaries::FromCutPoints({2e5});
   const MultiCountSpec spec =
       MakeMixedSpec(relation.schema(), base, grid_y);
-  const MultiCountPlan reference = ReferencePlan(relation, spec);
-  const std::string dir = TempDir("coord_mixed_formats");
+  const std::string dir = TempDir("coord_legacy_format");
   PartitionOptions options;
   options.num_partitions = 3;
   Result<PartitionedTable> table = PartitionRelation(relation, dir, options);
   ASSERT_TRUE(table.ok());
 
-  // Rewrite partition 1 in the legacy row-major v1 layout, same rows and
-  // order, then re-open the table from the untouched manifest.
+  // Rewrite partition 1 as a version-1 file of the same rows: a 24-byte
+  // header (magic, version, counts, rows) then whole rows back to back.
   const std::string part1 = table.value().PartitionPath(1);
-  Result<storage::PagedFileInfo> before = storage::ReadPagedFileInfo(part1);
-  ASSERT_TRUE(before.ok());
-  ASSERT_EQ(before.value().format_version, 2u);
-  Result<storage::Relation> part1_rows =
+  Result<storage::Relation> rows =
       storage::ReadRelationFromFile(part1, relation.schema());
-  ASSERT_TRUE(part1_rows.ok());
-  storage::PagedFileWriterOptions v1;
-  v1.format = storage::PagedFileFormat::kRowMajorV1;
-  ASSERT_TRUE(
-      storage::WriteRelationToFile(part1_rows.value(), part1, v1).ok());
-  Result<storage::PagedFileInfo> after = storage::ReadPagedFileInfo(part1);
-  ASSERT_TRUE(after.ok());
-  ASSERT_EQ(after.value().format_version, 1u);
-
-  Result<PartitionedTable> mixed = PartitionedTable::Open(dir);
-  ASSERT_TRUE(mixed.ok()) << mixed.status().ToString();
+  ASSERT_TRUE(rows.ok());
   {
-    DistributedScanCoordinator coordinator(&mixed.value(), {});
-    MultiCountPlan plan(spec);
-    ASSERT_TRUE(coordinator.Execute(&plan).ok());
-    ExpectPlansIdentical(plan, reference);
+    const storage::Schema& schema = relation.schema();
+    std::FILE* f = std::fopen(part1.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    const uint32_t header[4] = {0x4f505452, 1,
+                                static_cast<uint32_t>(schema.num_numeric()),
+                                static_cast<uint32_t>(schema.num_boolean())};
+    const auto count = static_cast<uint64_t>(rows.value().NumRows());
+    ASSERT_EQ(std::fwrite(header, sizeof(header), 1, f), 1u);
+    ASSERT_EQ(std::fwrite(&count, sizeof(count), 1, f), 1u);
+    for (int64_t r = 0; r < rows.value().NumRows(); ++r) {
+      for (int c = 0; c < schema.num_numeric(); ++c) {
+        const double v = rows.value().NumericValue(r, c);
+        ASSERT_EQ(std::fwrite(&v, sizeof(v), 1, f), 1u);
+      }
+      for (int b = 0; b < schema.num_boolean(); ++b) {
+        const uint8_t v = rows.value().BooleanValue(r, b) ? 1 : 0;
+        ASSERT_EQ(std::fwrite(&v, 1, 1, f), 1u);
+      }
+    }
+    ASSERT_EQ(std::fclose(f), 0);
   }
+  EXPECT_EQ(PartitionedTable::Open(dir).status().code(),
+            StatusCode::kCorruption);
+
+  std::vector<DistributedScanOptions> kinds(1);
   if (!ResolveWorkerdPath("").empty()) {
-    // The subprocess worker re-opens the partition file in its own
-    // process; version negotiation must survive the hop too.
-    DistributedScanOptions scan_options;
-    scan_options.worker_kind = WorkerKind::kSubprocess;
-    scan_options.max_workers = 2;
-    DistributedScanCoordinator coordinator(&mixed.value(), scan_options);
+    kinds.emplace_back();
+    kinds.back().worker_kind = WorkerKind::kSubprocess;
+    kinds.back().max_workers = 2;
+  }
+  for (const DistributedScanOptions& scan_options : kinds) {
+    DistributedScanCoordinator coordinator(&table.value(), scan_options);
     MultiCountPlan plan(spec);
-    ASSERT_TRUE(coordinator.Execute(&plan).ok());
-    ExpectPlansIdentical(plan, reference);
+    EXPECT_FALSE(coordinator.Execute(&plan).ok());
   }
   std::filesystem::remove_all(dir);
 }

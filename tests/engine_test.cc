@@ -791,8 +791,9 @@ TEST(MiningEngineTest, RegionsMatchLegacyOnBankAndRetail) {
 
 TEST(MiningEngineTest, FileEngineRegionsMatchLegacyWithGk) {
   // Out-of-core 2-D mining: the disk-resident engine's grid channel must
-  // reproduce the in-memory legacy BuildGrid path bit for bit, in both
-  // paged read modes (GK boundaries keep the planning deterministic).
+  // reproduce the in-memory legacy BuildGrid path bit for bit, with and
+  // without a shared cache (GK boundaries keep the planning
+  // deterministic).
   datagen::BankConfig config;
   config.num_customers = 20000;
   Rng rng(35);
@@ -808,10 +809,10 @@ TEST(MiningEngineTest, FileEngineRegionsMatchLegacyWithGk) {
   const auto expected =
       legacy.MineOptimizedRegion("Age", "Balance", "CardLoan");
 
-  for (const storage::PagedReadMode mode :
-       {storage::PagedReadMode::kSynchronous,
-        storage::PagedReadMode::kDoubleBuffered}) {
-    auto source_or = storage::PagedFileBatchSource::Open(path, 512, mode);
+  // nullptr = no shared cache (the source's own capacity-0 pool).
+  for (storage::BufferPool* pool : {static_cast<storage::BufferPool*>(nullptr),
+                                    storage::BufferPool::Default()}) {
+    auto source_or = storage::PagedFileBatchSource::Open(path, 512, pool);
     ASSERT_TRUE(source_or.ok());
     MiningEngine engine(source_or.value().get(), bank.schema(), options);
     ASSERT_TRUE(engine.RequestRegionPair("Age", "Balance").ok());
@@ -959,71 +960,66 @@ TEST(MiningEngineTest, NanLadenPagedFileMatchesLegacyWithGk) {
   std::remove(path.c_str());
 }
 
-TEST(MiningEngineTest, DoubleBufferedFileEngineMatchesSynchronousEverywhere) {
-  // The async prefetch reader must be invisible to every query kind: two
-  // engines over the same file, one per read mode, answer all-pairs,
-  // generalized, aggregate, and threshold-sweep queries bit-identically
-  // (GK boundaries keep the planning deterministic).
+TEST(MiningEngineTest, FileEngineMatchesInMemoryEngineEverywhere) {
+  // The paged reader must be invisible to every query kind: engines over
+  // the same file -- with no shared cache (capacity-0 pool) and with the
+  // default pool -- answer all-pairs, generalized, aggregate, and
+  // threshold-sweep queries bit-identically to the in-memory engine (GK
+  // boundaries keep the planning deterministic across the column and
+  // batch paths).
   const storage::Relation relation = RelationWithNans(12007, 31);
-  const std::string path = testing::TempDir() + "/double_buffer_engine.optr";
+  const std::string path = testing::TempDir() + "/file_engine.optr";
   ASSERT_TRUE(storage::WriteRelationToFile(relation, path).ok());
-  auto sync_or = storage::PagedFileBatchSource::Open(
-      path, 512, storage::PagedReadMode::kSynchronous);
-  auto buffered_or = storage::PagedFileBatchSource::Open(
-      path, 512, storage::PagedReadMode::kDoubleBuffered);
-  ASSERT_TRUE(sync_or.ok());
-  ASSERT_TRUE(buffered_or.ok());
 
   MinerOptions options;
   options.num_buckets = 70;
   options.bucketizer = Bucketizer::kGkSketch;
-  MiningEngine sync_engine(sync_or.value().get(), relation.schema(),
-                           options);
-  MiningEngine buffered_engine(buffered_or.value().get(), relation.schema(),
-                               options);
-  for (MiningEngine* engine : {&sync_engine, &buffered_engine}) {
-    ASSERT_TRUE(engine->RequestGeneralized({"bool0"}).ok());
-    ASSERT_TRUE(engine->RequestAverageTarget("num2").ok());
-  }
-  ExpectSameRules(buffered_engine.MineAllPairs(), sync_engine.MineAllPairs());
-  ExpectSameRuleResults(
-      buffered_engine.MineGeneralized("num1", {"bool0"}, "bool1"),
-      sync_engine.MineGeneralized("num1", {"bool0"}, "bool1"));
-  ExpectSameAggregate(
-      buffered_engine.MineMaximumAverageRange("num0", "num2", 0.1),
-      sync_engine.MineMaximumAverageRange("num0", "num2", 0.1));
-  ExpectSameAggregate(
-      buffered_engine.MineMaximumSupportRange("num1", "num2", 4e5),
-      sync_engine.MineMaximumSupportRange("num1", "num2", 4e5));
+  MiningEngine oracle(&relation, options);
+  ASSERT_TRUE(oracle.RequestGeneralized({"bool0"}).ok());
+  ASSERT_TRUE(oracle.RequestAverageTarget("num2").ok());
   const ThresholdSet sweep[] = {{0.02, 0.3}, {0.15, 0.7}};
-  ExpectSameRules(buffered_engine.MineAllPairs(sweep),
-                  sync_engine.MineAllPairs(sweep));
-  EXPECT_EQ(buffered_engine.counting_scans(), 1);
-  EXPECT_EQ(sync_engine.counting_scans(), 1);
+  for (storage::BufferPool* pool : {static_cast<storage::BufferPool*>(nullptr),
+                                    storage::BufferPool::Default()}) {
+    auto source_or = storage::PagedFileBatchSource::Open(path, 512, pool);
+    ASSERT_TRUE(source_or.ok());
+    MiningEngine engine(source_or.value().get(), relation.schema(), options);
+    ASSERT_TRUE(engine.RequestGeneralized({"bool0"}).ok());
+    ASSERT_TRUE(engine.RequestAverageTarget("num2").ok());
+    ExpectSameRules(engine.MineAllPairs(), oracle.MineAllPairs());
+    ExpectSameRuleResults(engine.MineGeneralized("num1", {"bool0"}, "bool1"),
+                          oracle.MineGeneralized("num1", {"bool0"}, "bool1"));
+    ExpectSameAggregate(engine.MineMaximumAverageRange("num0", "num2", 0.1),
+                        oracle.MineMaximumAverageRange("num0", "num2", 0.1));
+    ExpectSameAggregate(engine.MineMaximumSupportRange("num1", "num2", 4e5),
+                        oracle.MineMaximumSupportRange("num1", "num2", 4e5));
+    ExpectSameRules(engine.MineAllPairs(sweep), oracle.MineAllPairs(sweep));
+    EXPECT_EQ(engine.counting_scans(), 1);
+  }
   std::remove(path.c_str());
 }
 
-TEST(MiningEngineTest, PooledDoubleBufferedFileEngineMatchesSerialSync) {
-  // Row-sharded scans over prefetching range readers (one prefetch thread
-  // per shard) must still merge to the serial synchronous answer.
+TEST(MiningEngineTest, ShardedFileEngineMatchesSerialInMemoryEngine) {
+  // Row-sharded scans over range readers (one prefetch thread per shard)
+  // must still merge to the serial in-memory answer, with and without a
+  // shared cache.
   const storage::Relation relation = RelationWithNans(15013, 32);
-  const std::string path = testing::TempDir() + "/double_buffer_pooled.optr";
+  const std::string path = testing::TempDir() + "/file_engine_sharded.optr";
   ASSERT_TRUE(storage::WriteRelationToFile(relation, path).ok());
-  auto sync_or = storage::PagedFileBatchSource::Open(
-      path, 256, storage::PagedReadMode::kSynchronous);
-  auto buffered_or = storage::PagedFileBatchSource::Open(
-      path, 256, storage::PagedReadMode::kDoubleBuffered);
-  ASSERT_TRUE(sync_or.ok());
-  ASSERT_TRUE(buffered_or.ok());
   MinerOptions options;
   options.num_buckets = 50;
   options.bucketizer = Bucketizer::kGkSketch;
-  MiningEngine serial(sync_or.value().get(), relation.schema(), options);
+  MiningEngine serial(&relation, options);
   ThreadPool pool(4);
-  MiningEngine pooled(buffered_or.value().get(), relation.schema(), options,
-                      &pool);
-  ExpectSameRules(pooled.MineAllPairs(), serial.MineAllPairs());
-  EXPECT_EQ(pooled.counting_scans(), 1);
+  for (storage::BufferPool* cache :
+       {static_cast<storage::BufferPool*>(nullptr),
+        storage::BufferPool::Default()}) {
+    auto source_or = storage::PagedFileBatchSource::Open(path, 256, cache);
+    ASSERT_TRUE(source_or.ok());
+    MiningEngine sharded(source_or.value().get(), relation.schema(), options,
+                         &pool);
+    ExpectSameRules(sharded.MineAllPairs(), serial.MineAllPairs());
+    EXPECT_EQ(sharded.counting_scans(), 1);
+  }
   std::remove(path.c_str());
 }
 

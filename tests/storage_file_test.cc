@@ -1,11 +1,15 @@
 // Tests for PagedFile, tuple streams, and the external merge sort.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <iterator>
+#include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -86,14 +90,61 @@ TEST(PagedFileTest, SchemaMismatchRejected) {
   std::remove(path.c_str());
 }
 
-TEST(PagedFileTest, BadMagicIsCorruption) {
-  const std::string path = TempPath("badmagic.optr");
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  const char junk[64] = "this is not a paged file at all.................";
-  std::fwrite(junk, 1, sizeof(junk), f);
+std::vector<uint8_t> ReadAllBytes(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr);
+  std::fseek(f, 0, SEEK_END);
+  std::vector<uint8_t> bytes(static_cast<size_t>(std::ftell(f)));
+  std::fseek(f, 0, SEEK_SET);
+  EXPECT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
   std::fclose(f);
+  return bytes;
+}
+
+void WriteAllBytes(const std::string& path, std::span<const uint8_t> bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  ASSERT_EQ(std::fclose(f), 0);
+}
+
+template <typename T>
+void Poke(std::vector<uint8_t>* bytes, size_t offset, T value) {
+  std::memcpy(bytes->data() + offset, &value, sizeof(value));
+}
+
+TEST(PagedFileTest, BadHeaderIsCorruption) {
+  const std::string path = TempPath("badheader.optr");
+  const char junk[64] = "this is not a paged file at all.................";
+  WriteAllBytes(path, std::span<const uint8_t>(
+                          reinterpret_cast<const uint8_t*>(junk),
+                          sizeof(junk)));
   EXPECT_EQ(ReadPagedFileInfo(path).status().code(),
             StatusCode::kCorruption);
+
+  // Counts beyond int32 (attributes) or int64 (rows) must not be cast into
+  // negative values.
+  ASSERT_TRUE(WriteRelationToFile(RandomRelation(10, 2, 1, 2), path).ok());
+  const std::vector<uint8_t> valid = ReadAllBytes(path);
+  struct Patch {
+    size_t offset;
+    uint64_t value;
+    size_t width;
+  };
+  for (const Patch& patch : {Patch{8, 0x80000000u, 4},
+                             Patch{12, 0x80000000u, 4},
+                             Patch{16, uint64_t{1} << 63, 8}}) {
+    SCOPED_TRACE(testing::Message() << "offset " << patch.offset);
+    std::vector<uint8_t> bytes = valid;
+    if (patch.width == 4) {
+      Poke(&bytes, patch.offset, static_cast<uint32_t>(patch.value));
+    } else {
+      Poke(&bytes, patch.offset, patch.value);
+    }
+    WriteAllBytes(path, bytes);
+    EXPECT_EQ(ReadPagedFileInfo(path).status().code(),
+              StatusCode::kCorruption);
+  }
   std::remove(path.c_str());
 }
 
@@ -149,11 +200,14 @@ TEST(TupleStreamTest, ResetRewinds) {
 TEST(TupleStreamTest, FileStreamMatchesRelationStream) {
   const std::string path = TempPath("stream.optr");
   const Relation relation = RandomRelation(1000, 4, 2, 5);
-  ASSERT_TRUE(WriteRelationToFile(relation, path).ok());
+  // Use a small page size so multiple page refills (and a partial last
+  // page) are exercised.
+  PagedFileWriterOptions options;
+  options.rows_per_page = 64;
+  ASSERT_TRUE(WriteRelationToFile(relation, path, options).ok());
 
-  // Use a small page size so multiple page refills are exercised.
   Result<std::unique_ptr<FileTupleStream>> file_or =
-      FileTupleStream::Open(path, /*buffer_rows=*/64);
+      FileTupleStream::Open(path);
   ASSERT_TRUE(file_or.ok());
   FileTupleStream& file_stream = *file_or.value();
   RelationTupleStream memory_stream(&relation);
@@ -179,10 +233,6 @@ TEST(TupleStreamTest, FileStreamMatchesRelationStream) {
   std::remove(path.c_str());
 }
 
-TEST(TupleStreamTest, OpenRejectsBadBufferRows) {
-  EXPECT_FALSE(FileTupleStream::Open("/dev/null", 0).ok());
-}
-
 // ------------------------------------------------------ external sort ----
 
 struct ExternalSortCase {
@@ -193,35 +243,59 @@ struct ExternalSortCase {
 
 class ExternalSortTest : public testing::TestWithParam<ExternalSortCase> {};
 
+/// Serializes `relation` as headerless fixed-width records (doubles then
+/// boolean bytes): ExternalSort's input and output format.
+void WriteRecords(const Relation& relation, const std::string& path) {
+  const Schema& schema = relation.schema();
+  std::vector<uint8_t> bytes;
+  for (int64_t row = 0; row < relation.NumRows(); ++row) {
+    for (int c = 0; c < schema.num_numeric(); ++c) {
+      const double v = relation.NumericValue(row, c);
+      const auto* raw = reinterpret_cast<const uint8_t*>(&v);
+      bytes.insert(bytes.end(), raw, raw + sizeof(v));
+    }
+    for (int b = 0; b < schema.num_boolean(); ++b) {
+      bytes.push_back(relation.BooleanValue(row, b) ? 1 : 0);
+    }
+  }
+  WriteAllBytes(path, bytes);
+}
+
+/// Field `offset` (a double) of every record in a record file.
+std::vector<double> RecordDoubles(const std::string& path,
+                                  size_t record_bytes, size_t offset) {
+  const std::vector<uint8_t> bytes = ReadAllBytes(path);
+  EXPECT_EQ(bytes.size() % record_bytes, 0u);
+  std::vector<double> values(bytes.size() / record_bytes);
+  for (size_t i = 0; i < values.size(); ++i) {
+    std::memcpy(&values[i], bytes.data() + i * record_bytes + offset,
+                sizeof(double));
+  }
+  return values;
+}
+
 TEST_P(ExternalSortTest, SortsByKeyAttribute) {
   const ExternalSortCase& param = GetParam();
   const std::string input = TempPath("sort_in.optr");
   const std::string output = TempPath("sort_out.optr");
   const Relation relation = RandomRelation(param.rows, 2, 1, param.seed);
-  // ExternalSort shuffles fixed-width whole-row records, so it only
-  // applies to the row-major v1 layout.
-  PagedFileWriterOptions v1;
-  v1.format = PagedFileFormat::kRowMajorV1;
-  ASSERT_TRUE(WriteRelationToFile(relation, input, v1).ok());
+  WriteRecords(relation, input);
 
   ExternalSortOptions options;
   options.record_bytes = relation.schema().RowBytes();
   options.key_offset = sizeof(double);  // sort by numeric attribute 1
-  options.header_bytes = kPagedFileHeaderBytes;
   options.memory_budget_bytes = param.memory_budget;
   options.temp_dir = testing::TempDir();
   Result<ExternalSortStats> stats = ExternalSort(input, output, options);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats.value().num_records, param.rows);
 
-  Result<Relation> sorted =
-      ReadRelationFromFile(output, Schema::Synthetic(2, 1));
-  ASSERT_TRUE(sorted.ok());
-  ASSERT_EQ(sorted.value().NumRows(), param.rows);
+  const std::vector<double> got =
+      RecordDoubles(output, options.record_bytes, options.key_offset);
+  ASSERT_EQ(static_cast<int64_t>(got.size()), param.rows);
   // Keys ascending and multiset of keys preserved.
   std::vector<double> expected = relation.NumericColumn(1);
   std::sort(expected.begin(), expected.end());
-  const std::vector<double>& got = sorted.value().NumericColumn(1);
   EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
   std::vector<double> got_sorted = got;
   std::sort(got_sorted.begin(), got_sorted.end());
@@ -279,46 +353,46 @@ TEST(ExternalSortTest, PreservesWholeRecords) {
     const double row[] = {v};
     relation.AppendRow(row, std::span<const uint8_t>(&flag, 1));
   }
-  PagedFileWriterOptions v1;
-  v1.format = PagedFileFormat::kRowMajorV1;
-  ASSERT_TRUE(WriteRelationToFile(relation, input, v1).ok());
+  WriteRecords(relation, input);
   ExternalSortOptions options;
   options.record_bytes = relation.schema().RowBytes();
   options.key_offset = 0;
-  options.header_bytes = kPagedFileHeaderBytes;
   options.memory_budget_bytes = 512;
   options.temp_dir = testing::TempDir();
   ASSERT_TRUE(ExternalSort(input, output, options).ok());
-  Result<Relation> sorted =
-      ReadRelationFromFile(output, Schema::Synthetic(1, 1));
-  ASSERT_TRUE(sorted.ok());
-  for (int64_t row = 0; row < sorted.value().NumRows(); ++row) {
-    EXPECT_EQ(sorted.value().BooleanValue(row, 0),
-              sorted.value().NumericValue(row, 0) > 0.5);
+  const std::vector<uint8_t> sorted = ReadAllBytes(output);
+  ASSERT_EQ(sorted.size(), 1000 * options.record_bytes);
+  for (size_t i = 0; i < 1000; ++i) {
+    const uint8_t* record = sorted.data() + i * options.record_bytes;
+    double v;
+    std::memcpy(&v, record, sizeof(v));
+    EXPECT_EQ(record[sizeof(double)], v > 0.5 ? 1 : 0);
   }
   std::remove(input.c_str());
   std::remove(output.c_str());
 }
 
-// ------------------------------------- double-buffered batch reading ----
+// ----------------------------------------------- paged batch reading ----
 
-/// Drains one full scan of `source` into row-major vectors so scans from
-/// different readers/modes can be compared batch-structure and all.
+/// Numeric values as bit patterns, so comparisons are bit-exact.
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+/// One scan drained into flattened row-major values plus its batch shape.
 struct DrainedScan {
   std::vector<int64_t> batch_sizes;
-  std::vector<double> numeric;
+  std::vector<uint64_t> numeric;
   std::vector<uint8_t> boolean;
 };
 
-DrainedScan DrainScan(BatchSource& source) {
+DrainedScan Drain(BatchReader& reader) {
   DrainedScan drained;
-  auto reader = source.CreateReader();
   ColumnarBatch batch;
-  while (reader->Next(&batch)) {
+  while (reader.Next(&batch)) {
     drained.batch_sizes.push_back(batch.num_rows());
     for (int64_t r = 0; r < batch.num_rows(); ++r) {
       for (int a = 0; a < batch.num_numeric(); ++a) {
-        drained.numeric.push_back(batch.numeric(a)[static_cast<size_t>(r)]);
+        drained.numeric.push_back(
+            Bits(batch.numeric(a)[static_cast<size_t>(r)]));
       }
       for (int b = 0; b < batch.num_boolean(); ++b) {
         drained.boolean.push_back(batch.boolean(b)[static_cast<size_t>(r)]);
@@ -328,148 +402,239 @@ DrainedScan DrainScan(BatchSource& source) {
   return drained;
 }
 
-TEST(PagedFileBatchSourceTest, DoubleBufferedBitIdenticalToSynchronous) {
-  const int64_t rows = 10007;
-  const std::string path = TempPath("double_buffered.optr");
-  const Relation relation = RandomRelation(rows, 4, 3, 77);
-  ASSERT_TRUE(WriteRelationToFile(relation, path).ok());
-  // Batch sizes around the interesting boundaries: 1 row, an odd size, a
-  // divisor-free size, exactly the file, larger than the file.
-  for (const int64_t batch_rows : {int64_t{1}, int64_t{7}, int64_t{512},
-                                   rows, rows + 1000}) {
-    SCOPED_TRACE(testing::Message() << "batch_rows=" << batch_rows);
-    auto sync_or =
-        PagedFileBatchSource::Open(path, batch_rows,
-                                   PagedReadMode::kSynchronous);
-    auto buffered_or =
-        PagedFileBatchSource::Open(path, batch_rows,
-                                   PagedReadMode::kDoubleBuffered);
-    ASSERT_TRUE(sync_or.ok());
-    ASSERT_TRUE(buffered_or.ok());
-    const DrainedScan sync = DrainScan(*sync_or.value());
-    const DrainedScan buffered = DrainScan(*buffered_or.value());
-    EXPECT_EQ(sync.batch_sizes, buffered.batch_sizes);
-    EXPECT_EQ(sync.numeric, buffered.numeric);
-    EXPECT_EQ(sync.boolean, buffered.boolean);
-    EXPECT_EQ(static_cast<int64_t>(sync.batch_sizes.size()),
-              (rows + batch_rows - 1) / batch_rows);
+/// Scans rows [begin, end) of `paged` with one range reader and checks it
+/// against the RelationBatchSource oracle over the same rows: bit-identical
+/// values, and batches of at most `batch_rows` rows that end exactly at
+/// page boundaries (the paged reader's only difference in batch shape).
+void ExpectRangeMatchesOracle(PagedFileBatchSource& paged,
+                              const Relation& relation, int64_t begin,
+                              int64_t end, int64_t batch_rows) {
+  SCOPED_TRACE(testing::Message() << "rows [" << begin << ", " << end
+                                  << "), batch_rows " << batch_rows);
+  RelationBatchSource oracle_source(&relation, batch_rows);
+  const DrainedScan oracle =
+      Drain(*oracle_source.CreateRangeReader(begin, end));
+  const DrainedScan got = Drain(*paged.CreateRangeReader(begin, end));
+  EXPECT_EQ(got.numeric, oracle.numeric);
+  EXPECT_EQ(got.boolean, oracle.boolean);
+  std::vector<int64_t> expected_sizes;
+  const auto rpp = static_cast<int64_t>(paged.info().rows_per_page);
+  for (int64_t pos = begin; pos < end;) {
+    const int64_t page_end = (pos / rpp + 1) * rpp;
+    const int64_t rows = std::min({batch_rows, end - pos, page_end - pos});
+    expected_sizes.push_back(rows);
+    pos += rows;
   }
-  std::remove(path.c_str());
+  EXPECT_EQ(got.batch_sizes, expected_sizes);
 }
 
-TEST(PagedFileBatchSourceTest, DoubleBufferedRangeReadersMatchSynchronous) {
-  const int64_t rows = 4099;
-  const std::string path = TempPath("double_buffered_range.optr");
-  const Relation relation = RandomRelation(rows, 2, 2, 78);
-  ASSERT_TRUE(WriteRelationToFile(relation, path).ok());
-  auto sync_or =
-      PagedFileBatchSource::Open(path, 256, PagedReadMode::kSynchronous);
-  auto buffered_or =
-      PagedFileBatchSource::Open(path, 256, PagedReadMode::kDoubleBuffered);
-  ASSERT_TRUE(sync_or.ok());
-  ASSERT_TRUE(buffered_or.ok());
-  const int64_t splits[] = {0, 1000, 2049, rows};
-  for (size_t s = 0; s + 1 < std::size(splits); ++s) {
-    auto sync_reader =
-        sync_or.value()->CreateRangeReader(splits[s], splits[s + 1]);
-    auto buffered_reader =
-        buffered_or.value()->CreateRangeReader(splits[s], splits[s + 1]);
-    ColumnarBatch sync_batch;
-    ColumnarBatch buffered_batch;
-    while (sync_reader->Next(&sync_batch)) {
-      ASSERT_TRUE(buffered_reader->Next(&buffered_batch));
-      ASSERT_EQ(sync_batch.num_rows(), buffered_batch.num_rows());
-      for (int a = 0; a < 2; ++a) {
-        const auto lhs = sync_batch.numeric(a);
-        const auto rhs = buffered_batch.numeric(a);
-        ASSERT_TRUE(std::equal(lhs.begin(), lhs.end(), rhs.begin()));
-      }
+/// The pools every scan test runs under: nullptr (the source's own
+/// capacity-0 pool, the no-cache mode) and the process default pool.
+std::vector<BufferPool*> TestPools() {
+  return {nullptr, BufferPool::Default()};
+}
+
+TEST(PagedFileBatchSourceTest, OnePageMatchesOracle) {
+  const std::string path = TempPath("scan_one_page.optr");
+  const Relation relation = RandomRelation(200, 3, 2, 76);
+  PagedFileWriterOptions options;
+  options.rows_per_page = 256;
+  ASSERT_TRUE(WriteRelationToFile(relation, path, options).ok());
+  for (BufferPool* pool : TestPools()) {
+    for (const int64_t batch_rows : {int64_t{1}, int64_t{7}, int64_t{4096}}) {
+      auto source = PagedFileBatchSource::Open(path, batch_rows, pool);
+      ASSERT_TRUE(source.ok());
+      ASSERT_EQ(source.value()->info().num_pages(), 1);
+      ExpectRangeMatchesOracle(*source.value(), relation, 0, 200,
+                               batch_rows);
     }
-    EXPECT_FALSE(buffered_reader->Next(&buffered_batch));
   }
   std::remove(path.c_str());
 }
 
-TEST(PagedFileBatchSourceTest, DoubleBufferedReaderAbandonedMidScan) {
-  // Destroying a reader while the prefetcher is ahead must join cleanly
-  // (no hang, no touch-after-free); TSan covers the race side.
-  const std::string path = TempPath("double_buffered_abandon.optr");
+TEST(PagedFileBatchSourceTest, PagesWithPartialLastPageMatchOracle) {
+  // Batch sizes that do and do NOT divide rows_per_page, so batches clamp
+  // at page boundaries: 1 row, odd, just under a page, exactly a page,
+  // the whole file, larger than the file.
+  const int64_t rows = 10007;
+  const std::string path = TempPath("scan_pages.optr");
+  const Relation relation = RandomRelation(rows, 4, 3, 77);
+  PagedFileWriterOptions options;
+  options.rows_per_page = 512;
+  ASSERT_TRUE(WriteRelationToFile(relation, path, options).ok());
+  for (BufferPool* pool : TestPools()) {
+    for (const int64_t batch_rows :
+         {int64_t{1}, int64_t{7}, int64_t{500}, int64_t{512}, rows,
+          rows + 1000}) {
+      auto source = PagedFileBatchSource::Open(path, batch_rows, pool);
+      ASSERT_TRUE(source.ok());
+      ExpectRangeMatchesOracle(*source.value(), relation, 0, rows,
+                               batch_rows);
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(PagedFileBatchSourceTest, RangeReadersStartingMidPageMatchOracle) {
+  const int64_t rows = 4099;
+  const std::string path = TempPath("scan_ranges.optr");
+  const Relation relation = RandomRelation(rows, 2, 2, 78);
+  PagedFileWriterOptions options;
+  options.rows_per_page = 256;
+  ASSERT_TRUE(WriteRelationToFile(relation, path, options).ok());
+  // Shard splits starting mid-page, at a page boundary, and inside the
+  // final partial page; plus an empty range.
+  const int64_t splits[] = {0, 77, 256, 1000, 4096, rows};
+  for (BufferPool* pool : TestPools()) {
+    auto source = PagedFileBatchSource::Open(path, 100, pool);
+    ASSERT_TRUE(source.ok());
+    for (size_t s = 0; s + 1 < std::size(splits); ++s) {
+      ExpectRangeMatchesOracle(*source.value(), relation, splits[s],
+                               splits[s + 1], 100);
+    }
+    ExpectRangeMatchesOracle(*source.value(), relation, 1000, 1000, 100);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(PagedFileBatchSourceTest, PrunedPagesAreSkippedAndCounted) {
+  // Boolean 0 is true only inside page 1 of four (the last one partial),
+  // so a spec requiring it proves pages 0, 2 and 3 dead.
+  const int64_t rows = 250;
+  const std::string path = TempPath("scan_pruned.optr");
+  Relation relation = RandomRelation(rows, 2, 2, 80);
+  std::vector<uint8_t>& cond = relation.MutableBooleanColumn(0);
+  for (int64_t i = 0; i < rows; ++i) {
+    cond[static_cast<size_t>(i)] = (i >= 64 && i < 128) ? 1 : 0;
+  }
+  PagedFileWriterOptions options;
+  options.rows_per_page = 64;
+  ASSERT_TRUE(WriteRelationToFile(relation, path, options).ok());
+  auto spec = std::make_shared<ScanPruneSpec>();
+  spec->units.push_back({{1}, {0}});
+
+  BufferPool no_cache(0);
+  for (BufferPool* pool : {&no_cache, BufferPool::Default()}) {
+    auto source = PagedFileBatchSource::Open(path, 16, pool);
+    ASSERT_TRUE(source.ok());
+    source.value()->InstallPruneSpec(spec);
+    // A full scan and a range starting mid-page 0 and ending mid-page 3
+    // both surface exactly the live page's rows.
+    for (const auto& [begin, end] :
+         {std::pair<int64_t, int64_t>{0, rows}, {30, 200}}) {
+      SCOPED_TRACE(testing::Message() << "rows [" << begin << ", " << end
+                                      << ")");
+      auto reader = source.value()->CreateRangeReader(begin, end);
+      const DrainedScan got = Drain(*reader);
+      RelationBatchSource oracle_source(&relation, 16);
+      const DrainedScan live =
+          Drain(*oracle_source.CreateRangeReader(64, 128));
+      EXPECT_EQ(got.numeric, live.numeric);
+      EXPECT_EQ(got.boolean, live.boolean);
+      EXPECT_EQ(reader->pruned_rows(), (end - begin) - 64);
+    }
+    EXPECT_EQ(source.value()->SourceStats().pages_skipped, 6);
+  }
+  // Capacity 0 loads each live page exactly once per reader: two readers,
+  // one live page each.
+  EXPECT_EQ(no_cache.stats().misses, 2);
+  EXPECT_EQ(no_cache.stats().hits, 0);
+  EXPECT_EQ(no_cache.bytes_used(), 0u);
+  std::remove(path.c_str());
+}
+
+TEST(PagedFileBatchSourceTest, CapacityZeroLoadsEachPageOnce) {
+  const std::string path = TempPath("scan_capacity_zero.optr");
+  const Relation relation = RandomRelation(1000, 2, 1, 81);
+  PagedFileWriterOptions options;
+  options.rows_per_page = 64;  // 16 pages, the last partial
+  ASSERT_TRUE(WriteRelationToFile(relation, path, options).ok());
+  BufferPool pool(0);
+  auto source = PagedFileBatchSource::Open(path, 10, &pool);
+  ASSERT_TRUE(source.ok());
+  ExpectRangeMatchesOracle(*source.value(), relation, 0, 1000, 10);
+  EXPECT_EQ(pool.stats().misses, 16);
+  EXPECT_EQ(pool.stats().hits, 0);
+  EXPECT_EQ(source.value()->SourceStats().cache_misses, 16);
+  // Nothing stays resident once the reader released its pins.
+  EXPECT_EQ(pool.bytes_used(), 0u);
+  std::remove(path.c_str());
+}
+
+TEST(PagedFileBatchSourceTest, ReaderAbandonedMidScan) {
+  // Destroying a reader while the prefetch thread holds the next page must
+  // join cleanly and release every pin (no hang, no touch-after-free);
+  // TSan covers the race side.
+  const std::string path = TempPath("scan_abandon.optr");
   const Relation relation = RandomRelation(2048, 2, 1, 79);
-  ASSERT_TRUE(WriteRelationToFile(relation, path).ok());
-  auto source_or =
-      PagedFileBatchSource::Open(path, 128, PagedReadMode::kDoubleBuffered);
-  ASSERT_TRUE(source_or.ok());
-  auto reader = source_or.value()->CreateReader();
-  ColumnarBatch batch;
-  ASSERT_TRUE(reader->Next(&batch));
-  reader.reset();  // abandon with pages outstanding
+  PagedFileWriterOptions options;
+  options.rows_per_page = 256;
+  ASSERT_TRUE(WriteRelationToFile(relation, path, options).ok());
+  BufferPool no_cache(0);
+  for (BufferPool* pool : {&no_cache, BufferPool::Default()}) {
+    auto source_or = PagedFileBatchSource::Open(path, 128, pool);
+    ASSERT_TRUE(source_or.ok());
+    auto reader = source_or.value()->CreateReader();
+    ColumnarBatch batch;
+    ASSERT_TRUE(reader->Next(&batch));
+    reader.reset();  // abandon with pages outstanding
+  }
+  EXPECT_EQ(no_cache.bytes_used(), 0u);
   std::remove(path.c_str());
 }
 
-// ------------------------------------------- columnar v2 page format ----
+TEST(PagedFileBatchSourceTest, OpenRejectsBadHeaders) {
+  const std::string path = TempPath("open_bad_header.optr");
+  PagedFileWriterOptions options;
+  options.rows_per_page = 64;
+  ASSERT_TRUE(
+      WriteRelationToFile(RandomRelation(100, 2, 1, 82), path, options).ok());
+  const std::vector<uint8_t> valid = ReadAllBytes(path);
+  const Result<PagedFileInfo> info = ReadPagedFileInfo(path);
+  ASSERT_TRUE(info.ok());
+  const size_t pages_end =
+      kPagedFileHeaderBytes + 2 * info.value().page_stride();
 
-std::vector<uint8_t> ReadAllBytes(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr);
-  std::fseek(f, 0, SEEK_END);
-  std::vector<uint8_t> bytes(static_cast<size_t>(std::ftell(f)));
-  std::fseek(f, 0, SEEK_SET);
-  EXPECT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
-  std::fclose(f);
-  return bytes;
+  // A row-major version-1 file: 24-byte header, then rows back to back.
+  std::vector<uint8_t> v1(24 + 100 * info.value().row_bytes, 0);
+  std::memcpy(v1.data(), valid.data(), 16);
+  Poke<uint32_t>(&v1, 4, 1);
+  Poke<uint64_t>(&v1, 16, 100);
+  // A v2 file written without the zone-map trailer (flag clear, pages
+  // only).
+  std::vector<uint8_t> no_zone_maps(valid.begin(),
+                                    valid.begin() + pages_end);
+  Poke<uint32_t>(&no_zone_maps, 28, 0);
+  // A zone-map-less header claiming 1M rows over no pages at all.
+  std::vector<uint8_t> phantom_rows(valid.begin(),
+                                    valid.begin() + kPagedFileHeaderBytes);
+  Poke<uint32_t>(&phantom_rows, 28, 0);
+  Poke<uint64_t>(&phantom_rows, 16, 1000000);
+  // The same claim with the flag set and a trailer that fits the header.
+  std::vector<uint8_t> phantom_flagged = valid;
+  Poke<uint64_t>(&phantom_flagged, 16, 1000000);
+
+  for (const auto& [name, bytes] :
+       {std::pair<const char*, std::vector<uint8_t>>{"v1", v1},
+        {"no zone maps", no_zone_maps},
+        {"phantom rows", phantom_rows},
+        {"phantom rows, flagged", phantom_flagged}}) {
+    SCOPED_TRACE(name);
+    WriteAllBytes(path, bytes);
+    for (BufferPool* pool : TestPools()) {
+      EXPECT_EQ(PagedFileBatchSource::Open(path, 64, pool).status().code(),
+                StatusCode::kCorruption);
+    }
+  }
+  std::remove(path.c_str());
 }
 
-TEST(PagedFileV2Test, RoundTripAcrossFormatVersions) {
-  const Relation original = RandomRelation(1013, 3, 2, 11);
-  const std::string v1_path = TempPath("formats_v1.optr");
-  const std::string v2_path = TempPath("formats_v2.optr");
-  PagedFileWriterOptions v1;
-  v1.format = PagedFileFormat::kRowMajorV1;
-  ASSERT_TRUE(WriteRelationToFile(original, v1_path, v1).ok());
-  ASSERT_TRUE(WriteRelationToFile(original, v2_path).ok());  // default v2
-
-  Result<PagedFileInfo> v1_info = ReadPagedFileInfo(v1_path);
-  Result<PagedFileInfo> v2_info = ReadPagedFileInfo(v2_path);
-  ASSERT_TRUE(v1_info.ok());
-  ASSERT_TRUE(v2_info.ok());
-  EXPECT_EQ(v1_info.value().format_version, 1u);
-  EXPECT_EQ(v1_info.value().header_bytes, kPagedFileHeaderBytes);
-  EXPECT_EQ(v1_info.value().rows_per_page, 0u);
-  EXPECT_EQ(v2_info.value().format_version, 2u);
-  EXPECT_EQ(v2_info.value().header_bytes, kPagedFileV2HeaderBytes);
-  EXPECT_GE(v2_info.value().rows_per_page, 1u);
-  EXPECT_EQ(v1_info.value().num_rows, v2_info.value().num_rows);
-  EXPECT_EQ(v1_info.value().row_bytes, v2_info.value().row_bytes);
-
-  // Both formats reload to the identical relation, bit for bit.
-  Result<Relation> from_v1 =
-      ReadRelationFromFile(v1_path, Schema::Synthetic(3, 2));
-  Result<Relation> from_v2 =
-      ReadRelationFromFile(v2_path, Schema::Synthetic(3, 2));
-  ASSERT_TRUE(from_v1.ok());
-  ASSERT_TRUE(from_v2.ok());
-  ASSERT_EQ(from_v1.value().NumRows(), original.NumRows());
-  ASSERT_EQ(from_v2.value().NumRows(), original.NumRows());
-  for (int c = 0; c < 3; ++c) {
-    EXPECT_EQ(from_v1.value().NumericColumn(c), original.NumericColumn(c));
-    EXPECT_EQ(from_v2.value().NumericColumn(c), original.NumericColumn(c));
-  }
-  for (int c = 0; c < 2; ++c) {
-    EXPECT_EQ(from_v1.value().BooleanColumn(c), original.BooleanColumn(c));
-    EXPECT_EQ(from_v2.value().BooleanColumn(c), original.BooleanColumn(c));
-  }
-  std::remove(v1_path.c_str());
-  std::remove(v2_path.c_str());
-}
+// ---------------------------------------------------- page format ----
 
 TEST(PagedFileV2Test, PagesAreFixedStrideAndPartialPageIsZeroFilled) {
   const std::string path = TempPath("partial_page.optr");
   PagedFileWriterOptions options;
   options.rows_per_page = 64;
-  // Raw-layout assertions below measure the exact file size; keep the
-  // optional zone-map trailer out (which also covers the zone-map-less
-  // v2 read path).
-  options.zone_maps = false;
   // 100 rows / 64 per page = one full page + one partial (36 rows).
   const Relation relation = RandomRelation(100, 2, 1, 12);
   ASSERT_TRUE(WriteRelationToFile(relation, path, options).ok());
@@ -482,22 +647,24 @@ TEST(PagedFileV2Test, PagesAreFixedStrideAndPartialPageIsZeroFilled) {
   EXPECT_EQ(info.rows_in_page(1), 36);
 
   const std::vector<uint8_t> bytes = ReadAllBytes(path);
-  ASSERT_EQ(bytes.size(),
-            kPagedFileV2HeaderBytes + 2 * info.page_stride());
+  // Header, two full-stride pages, then the zone-map trailer (8-byte
+  // prefix + one entry per page).
+  ASSERT_EQ(bytes.size(), kPagedFileHeaderBytes + 2 * info.page_stride() +
+                              8 + 2 * info.zone_map_entry_bytes());
   const std::span<const uint8_t> all(bytes);
   EXPECT_TRUE(
       ValidateV2Page(info, 0,
-                     all.subspan(kPagedFileV2HeaderBytes,
+                     all.subspan(kPagedFileHeaderBytes,
                                  info.page_stride()))
           .ok());
   EXPECT_TRUE(
       ValidateV2Page(info, 1,
-                     all.subspan(kPagedFileV2HeaderBytes +
+                     all.subspan(kPagedFileHeaderBytes +
                                      info.page_stride(),
                                  info.page_stride()))
           .ok());
   // Every byte past row 36 in the partial page's runs must be zero.
-  const size_t page1 = kPagedFileV2HeaderBytes + info.page_stride();
+  const size_t page1 = kPagedFileHeaderBytes + info.page_stride();
   for (int c = 0; c < 2; ++c) {
     for (size_t i = 36 * sizeof(double); i < 64 * sizeof(double); ++i) {
       ASSERT_EQ(bytes[page1 + info.numeric_run_offset(c) + i], 0u);
@@ -533,7 +700,7 @@ TEST(PagedFileV2Test, CorruptDirectoryIsCaughtOnRead) {
   // Flip a directory entry in page 0.
   std::FILE* f = std::fopen(path.c_str(), "rb+");
   ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fseek(f, static_cast<long>(kPagedFileV2HeaderBytes + 4),
+  ASSERT_EQ(std::fseek(f, static_cast<long>(kPagedFileHeaderBytes + 4),
                        SEEK_SET),
             0);
   const uint32_t junk = 0xdeadbeef;
@@ -544,105 +711,6 @@ TEST(PagedFileV2Test, CorruptDirectoryIsCaughtOnRead) {
                 .code(),
             StatusCode::kCorruption);
   std::remove(path.c_str());
-}
-
-TEST(PagedFileV2Test, BatchScansMatchV1AcrossPagesAndModes) {
-  // Multiple pages with batch sizes that do NOT divide rows_per_page, so
-  // batches clamp at page boundaries; the scanned VALUES must still be
-  // bit-identical to the v1 row-major scan in both read modes.
-  const int64_t rows = 10007;
-  const Relation relation = RandomRelation(rows, 4, 3, 14);
-  const std::string v1_path = TempPath("scan_v1.optr");
-  const std::string v2_path = TempPath("scan_v2.optr");
-  PagedFileWriterOptions v1;
-  v1.format = PagedFileFormat::kRowMajorV1;
-  PagedFileWriterOptions v2;
-  v2.rows_per_page = 512;
-  ASSERT_TRUE(WriteRelationToFile(relation, v1_path, v1).ok());
-  ASSERT_TRUE(WriteRelationToFile(relation, v2_path, v2).ok());
-  for (const int64_t batch_rows :
-       {int64_t{1}, int64_t{7}, int64_t{500}, int64_t{512}, rows}) {
-    SCOPED_TRACE(testing::Message() << "batch_rows=" << batch_rows);
-    auto v1_source =
-        PagedFileBatchSource::Open(v1_path, batch_rows,
-                                   PagedReadMode::kSynchronous);
-    auto v2_sync =
-        PagedFileBatchSource::Open(v2_path, batch_rows,
-                                   PagedReadMode::kSynchronous);
-    auto v2_buffered =
-        PagedFileBatchSource::Open(v2_path, batch_rows,
-                                   PagedReadMode::kDoubleBuffered);
-    ASSERT_TRUE(v1_source.ok());
-    ASSERT_TRUE(v2_sync.ok());
-    ASSERT_TRUE(v2_buffered.ok());
-    const DrainedScan expected = DrainScan(*v1_source.value());
-    const DrainedScan sync = DrainScan(*v2_sync.value());
-    const DrainedScan buffered = DrainScan(*v2_buffered.value());
-    // Batch structure differs from v1 (page clamping) but must agree
-    // between the two v2 modes; the values must agree with v1 everywhere.
-    EXPECT_EQ(sync.batch_sizes, buffered.batch_sizes);
-    EXPECT_EQ(sync.numeric, expected.numeric);
-    EXPECT_EQ(sync.boolean, expected.boolean);
-    EXPECT_EQ(buffered.numeric, expected.numeric);
-    EXPECT_EQ(buffered.boolean, expected.boolean);
-  }
-  // I/O wait accounting accumulated as readers retired.
-  std::remove(v1_path.c_str());
-  std::remove(v2_path.c_str());
-}
-
-TEST(PagedFileV2Test, RangeReadersStartMidPage) {
-  const int64_t rows = 4099;
-  const Relation relation = RandomRelation(rows, 2, 2, 15);
-  const std::string v1_path = TempPath("range_v1.optr");
-  const std::string v2_path = TempPath("range_v2.optr");
-  PagedFileWriterOptions v1;
-  v1.format = PagedFileFormat::kRowMajorV1;
-  PagedFileWriterOptions v2;
-  v2.rows_per_page = 256;
-  ASSERT_TRUE(WriteRelationToFile(relation, v1_path, v1).ok());
-  ASSERT_TRUE(WriteRelationToFile(relation, v2_path, v2).ok());
-  auto v1_source =
-      PagedFileBatchSource::Open(v1_path, 100, PagedReadMode::kSynchronous);
-  ASSERT_TRUE(v1_source.ok());
-  // Shard splits chosen to start mid-page, at a page boundary, and in the
-  // final partial page.
-  const int64_t splits[] = {0, 77, 256, 1000, 4096, rows};
-  for (const PagedReadMode mode :
-       {PagedReadMode::kSynchronous, PagedReadMode::kDoubleBuffered}) {
-    auto v2_source = PagedFileBatchSource::Open(v2_path, 100, mode);
-    ASSERT_TRUE(v2_source.ok());
-    for (size_t s = 0; s + 1 < std::size(splits); ++s) {
-      SCOPED_TRACE(testing::Message()
-                   << "shard=[" << splits[s] << "," << splits[s + 1] << ")");
-      auto expected_reader =
-          v1_source.value()->CreateRangeReader(splits[s], splits[s + 1]);
-      auto v2_reader =
-          v2_source.value()->CreateRangeReader(splits[s], splits[s + 1]);
-      // Drain both and compare flattened values (batch shapes differ).
-      std::vector<double> expected_values;
-      std::vector<double> got_values;
-      ColumnarBatch batch;
-      while (expected_reader->Next(&batch)) {
-        for (int64_t r = 0; r < batch.num_rows(); ++r) {
-          for (int a = 0; a < 2; ++a) {
-            expected_values.push_back(
-                batch.numeric(a)[static_cast<size_t>(r)]);
-          }
-        }
-      }
-      while (v2_reader->Next(&batch)) {
-        for (int64_t r = 0; r < batch.num_rows(); ++r) {
-          for (int a = 0; a < 2; ++a) {
-            got_values.push_back(batch.numeric(a)[static_cast<size_t>(r)]);
-          }
-        }
-      }
-      EXPECT_EQ(got_values, expected_values);
-    }
-  }
-  std::remove(v1_path.c_str());
-  std::remove(v2_path.c_str());
 }
 
 TEST(PagedFileV2Test, TupleStreamGathersFromColumnRuns) {
@@ -697,7 +765,6 @@ TEST(ZoneMapTest, RoundTripValidatesAndCarriesSentinels) {
   Result<PagedFileInfo> info_or = ReadPagedFileInfo(path);
   ASSERT_TRUE(info_or.ok());
   const PagedFileInfo& info = info_or.value();
-  ASSERT_TRUE(info.has_zone_maps);
   Result<ZoneMapIndex> zones_or = ReadZoneMapIndex(path, info);
   ASSERT_TRUE(zones_or.ok()) << zones_or.status().ToString();
   const ZoneMapIndex& zones = zones_or.value();
@@ -723,7 +790,7 @@ TEST(ZoneMapTest, RoundTripValidatesAndCarriesSentinels) {
   for (int64_t page = 0; page < zones.num_pages; ++page) {
     EXPECT_TRUE(ValidateZoneMapEntry(
                     info, zones, page,
-                    all.subspan(kPagedFileV2HeaderBytes +
+                    all.subspan(kPagedFileHeaderBytes +
                                     static_cast<size_t>(page) *
                                         info.page_stride(),
                                 info.page_stride()))
@@ -740,20 +807,6 @@ TEST(ZoneMapTest, RoundTripValidatesAndCarriesSentinels) {
   std::remove(path.c_str());
 }
 
-TEST(ZoneMapTest, WriterOptionTurnsTrailerOff) {
-  const std::string path = TempPath("no_zones.optr");
-  PagedFileWriterOptions options;
-  options.zone_maps = false;
-  ASSERT_TRUE(
-      WriteRelationToFile(RandomRelation(100, 2, 1, 5), path, options).ok());
-  Result<PagedFileInfo> info = ReadPagedFileInfo(path);
-  ASSERT_TRUE(info.ok());
-  EXPECT_FALSE(info.value().has_zone_maps);
-  // Zone-map-less v2 files read everywhere; they just never prune.
-  EXPECT_TRUE(ReadRelationFromFile(path, Schema::Synthetic(2, 1)).ok());
-  std::remove(path.c_str());
-}
-
 TEST(ZoneMapTest, TamperedTrailerIsCaught) {
   const std::string path = TempPath("zones_tamper.optr");
   PagedFileWriterOptions options;
@@ -763,7 +816,6 @@ TEST(ZoneMapTest, TamperedTrailerIsCaught) {
   Result<PagedFileInfo> info_or = ReadPagedFileInfo(path);
   ASSERT_TRUE(info_or.ok());
   const PagedFileInfo& info = info_or.value();
-  ASSERT_TRUE(info.has_zone_maps);
 
   // A plausible-but-wrong bound (min lowered by 1) passes the structural
   // checks; only the deep bit-exact recompute can catch it.
@@ -776,7 +828,7 @@ TEST(ZoneMapTest, TamperedTrailerIsCaught) {
     EXPECT_FALSE(ValidateZoneMapEntry(
                      info, zones, 0,
                      std::span<const uint8_t>(bytes).subspan(
-                         kPagedFileV2HeaderBytes, info.page_stride()))
+                         kPagedFileHeaderBytes, info.page_stride()))
                      .ok());
   }
 
