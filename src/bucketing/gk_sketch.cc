@@ -2,10 +2,36 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 namespace optrules::bucketing {
 
-GkQuantileSketch::GkQuantileSketch(double epsilon) : epsilon_(epsilon) {
+namespace {
+
+using Tuple = GkQuantileSketch::Tuple;
+
+bool ValueLess(const Tuple& a, const Tuple& b) { return a.value < b.value; }
+
+// Merges the arrival-ordered `pending` tuples into the value-sorted
+// `summary` where one upper-bound insertion per tuple, in arrival order,
+// would have put them: after every summary tuple of equal value (std::merge
+// takes the first range first on ties) and after earlier arrivals of equal
+// value (stable sort). Empties `pending`.
+void MergePending(std::vector<Tuple>* summary, std::vector<Tuple>* pending) {
+  std::stable_sort(pending->begin(), pending->end(), ValueLess);
+  std::vector<Tuple> merged;
+  merged.reserve(summary->size() + pending->size());
+  std::merge(summary->begin(), summary->end(), pending->begin(),
+             pending->end(), std::back_inserter(merged), ValueLess);
+  *summary = std::move(merged);
+  pending->clear();
+}
+
+}  // namespace
+
+GkQuantileSketch::GkQuantileSketch(double epsilon)
+    : epsilon_(epsilon),
+      compress_period_(static_cast<int64_t>(1.0 / (2.0 * epsilon))) {
   OPTRULES_CHECK(0.0 < epsilon && epsilon < 0.5);
 }
 
@@ -14,31 +40,27 @@ void GkQuantileSketch::Add(double value) {
   // one into the summary would corrupt the rank invariants because NaN
   // compares false against everything.
   if (std::isnan(value)) return;
-  // Locate the insertion point (first tuple with a larger value).
-  auto it = std::upper_bound(
-      summary_.begin(), summary_.end(), value,
-      [](double v, const Tuple& t) { return v < t.value; });
-  Tuple tuple;
-  tuple.value = value;
-  tuple.g = 1;
+  Tuple tuple{value, 1, 0};
   // New extreme values have exact rank; interior insertions inherit the
-  // full allowed uncertainty.
-  if (it == summary_.begin() || it == summary_.end()) {
-    tuple.delta = 0;
-  } else {
-    tuple.delta = static_cast<int64_t>(
-                      std::floor(2.0 * epsilon_ *
-                                 static_cast<double>(count_))) -
-                  1;
-    if (tuple.delta < 0) tuple.delta = 0;
+  // full allowed uncertainty. A value lands first iff it is below the
+  // current first value, and last iff it is not below the last value.
+  const bool first = count_ == 0 || value < min_;
+  const bool last = count_ == 0 || !(value < max_);
+  if (!first && !last) {
+    tuple.delta = std::max<int64_t>(
+        static_cast<int64_t>(std::floor(2.0 * epsilon_ *
+                                        static_cast<double>(count_))) -
+            1,
+        0);
   }
-  summary_.insert(it, tuple);
+  if (first) min_ = value;
+  if (last) max_ = value;
+  pending_.push_back(tuple);
   ++count_;
-  // Compress every 1/(2*eps) insertions (the GK schedule).
-  if (++inserts_since_compress_ >=
-      static_cast<int64_t>(1.0 / (2.0 * epsilon_))) {
+  // Merge and compress every 1/(2*eps) insertions (the GK schedule).
+  if (static_cast<int64_t>(pending_.size()) >= compress_period_) {
+    MergePending(&summary_, &pending_);
     Compress();
-    inserts_since_compress_ = 0;
   }
 }
 
@@ -71,36 +93,71 @@ void GkQuantileSketch::Compress() {
   summary_ = std::move(compressed);
 }
 
+std::vector<Tuple> GkQuantileSketch::Summary() const {
+  std::vector<Tuple> summary = summary_;
+  std::vector<Tuple> pending = pending_;
+  MergePending(&summary, &pending);
+  return summary;
+}
+
 double GkQuantileSketch::Quantile(double phi) const {
+  return Quantiles(std::span<const double>(&phi, 1)).front();
+}
+
+std::vector<double> GkQuantileSketch::Quantiles(
+    std::span<const double> phis) const {
   OPTRULES_CHECK(count_ > 0);
-  OPTRULES_CHECK(0.0 <= phi && phi <= 1.0);
-  // Target rank in 1..n; the GK invariant (g_i + delta_i <= 2*eps*n)
-  // guarantees some tuple has both rmin and rmax within eps*n of it.
-  const double n = static_cast<double>(count_);
-  const double target = std::clamp(std::ceil(phi * n), 1.0, n);
-  const double slack = epsilon_ * n;
-  int64_t rmin = 0;
-  for (const Tuple& tuple : summary_) {
-    rmin += tuple.g;
-    const int64_t rmax = rmin + tuple.delta;
-    if (target - static_cast<double>(rmin) <= slack &&
-        static_cast<double>(rmax) - target <= slack) {
-      return tuple.value;
-    }
+  std::vector<Tuple> merged;
+  std::span<const Tuple> tuples = summary_;
+  if (!pending_.empty()) {
+    merged = Summary();
+    tuples = merged;
   }
-  return summary_.back().value;
+  std::vector<int64_t> rmin(tuples.size());
+  int64_t running = 0;
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    running += tuples[i].g;
+    rmin[i] = running;
+  }
+  // Target rank in 1..n; the GK invariant (g_i + delta_i <= 2*eps*n)
+  // guarantees some tuple has both rmin and rmax within eps*n of it. The
+  // answer is the FIRST such tuple. rmin only grows, so the tuples whose
+  // rmin is close enough form a suffix: binary-search its start, then
+  // scan on for the first whose rmax is close enough too.
+  const double n = static_cast<double>(count_);
+  const double slack = epsilon_ * n;
+  std::vector<double> answers;
+  answers.reserve(phis.size());
+  for (const double phi : phis) {
+    OPTRULES_CHECK(0.0 <= phi && phi <= 1.0);
+    const double target = std::clamp(std::ceil(phi * n), 1.0, n);
+    size_t i = static_cast<size_t>(
+        std::partition_point(rmin.begin(), rmin.end(),
+                             [&](int64_t r) {
+                               return target - static_cast<double>(r) > slack;
+                             }) -
+        rmin.begin());
+    while (i < tuples.size() &&
+           static_cast<double>(rmin[i] + tuples[i].delta) - target > slack) {
+      ++i;
+    }
+    answers.push_back(i < tuples.size() ? tuples[i].value
+                                        : tuples.back().value);
+  }
+  return answers;
 }
 
 BucketBoundaries BoundariesFromGkSketch(const GkQuantileSketch& sketch,
                                         int num_buckets) {
   OPTRULES_CHECK(num_buckets >= 1);
   OPTRULES_CHECK(sketch.count() > 0);
-  std::vector<double> cuts;
-  cuts.reserve(static_cast<size_t>(num_buckets) - 1);
+  std::vector<double> phis;
+  phis.reserve(static_cast<size_t>(num_buckets) - 1);
   for (int i = 1; i < num_buckets; ++i) {
-    cuts.push_back(sketch.Quantile(static_cast<double>(i) /
-                                   static_cast<double>(num_buckets)));
+    phis.push_back(static_cast<double>(i) /
+                   static_cast<double>(num_buckets));
   }
+  std::vector<double> cuts = sketch.Quantiles(phis);
   std::sort(cuts.begin(), cuts.end());
   return BucketBoundaries::FromCutPoints(std::move(cuts));
 }

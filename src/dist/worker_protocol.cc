@@ -126,6 +126,8 @@ struct WorkerFault {
   Kind kind = Kind::kNone;
   int64_t sleep_ms = 0;
   int64_t at_request = 0;
+  /// OPTRULES_WORKERD_FAULT_TOKEN for explicit specs, else null.
+  const char* token = nullptr;
 };
 
 /// `rotate` mode: atomically increment the counter file (flock'd text
@@ -210,15 +212,18 @@ WorkerFault ParseWorkerFault(const char* spec) {
   } else if (text == "hang") {
     fault.kind = WorkerFault::Kind::kHang;
   }
-  if (fault.kind == WorkerFault::Kind::kNone) return fault;
-  // A configured token file gates the fault: exactly one daemon of a
-  // fleet can claim it (unlink is atomic), so respawned replacements run
-  // clean and a faulty scan still converges deterministically.
   const char* token = std::getenv("OPTRULES_WORKERD_FAULT_TOKEN");
-  if (token != nullptr && token[0] != '\0' && ::unlink(token) != 0) {
-    fault.kind = WorkerFault::Kind::kNone;
-  }
+  if (token != nullptr && token[0] != '\0') fault.token = token;
   return fault;
+}
+
+// A configured token file gates the fault: exactly one daemon of a fleet
+// can claim it (unlink is atomic), so respawned replacements run clean and
+// a faulty scan still converges deterministically. The claim happens when
+// the fault comes due, not at spawn, so the first daemon to reach it
+// faults: a daemon whose partitions its peers took cannot swallow it.
+bool ClaimFaultToken(const WorkerFault& fault) {
+  return fault.token == nullptr || ::unlink(fault.token) == 0;
 }
 
 // -------------------------------------------------- keepalive writer ----
@@ -347,7 +352,8 @@ int RunWorkerLoop(int in_fd, int out_fd, const char* fault_spec) {
       continue;
     }
     const bool fault_now = fault.kind != WorkerFault::Kind::kNone &&
-                           scan_requests == fault.at_request;
+                           scan_requests == fault.at_request &&
+                           ClaimFaultToken(fault);
     ++scan_requests;
     {
       // Heartbeats cover the whole serve, injected sleeps included, so a

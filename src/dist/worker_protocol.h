@@ -29,8 +29,9 @@
 // Every fault fires once (at scan request ordinal n, default 0), then
 // disarms. Two auxiliary variables make multi-daemon runs deterministic:
 // OPTRULES_WORKERD_FAULT_TOKEN names a file the daemon must atomically
-// claim (unlink) to arm the fault -- exactly one daemon of a fleet
-// faults; OPTRULES_WORKERD_FAULT_COUNTER names a counter file `rotate`
+// claim (unlink) when the fault comes due -- exactly one daemon of a
+// fleet faults, the first to reach its fault point;
+// OPTRULES_WORKERD_FAULT_COUNTER names a counter file `rotate`
 // increments under flock to get a unique spawn ordinal -- ordinals
 // o % 5 == 1 arm error-frame@0, o % 5 == 3 arm crash-before-reply@0, the
 // rest run clean (the check-faults ctest lane sets this up).

@@ -10,6 +10,7 @@
 #include "bucketing/sort_bucketizer.h"
 #include "common/ratio.h"
 #include "common/rng.h"
+#include "obs/trace.h"
 #include "rules/average_range.h"
 #include "rules/optimized_confidence.h"
 #include "rules/optimized_support.h"
@@ -294,6 +295,10 @@ void MiningEngine::PlanBoundarySets(
     std::span<const BoundarySetRequest> requests,
     std::span<std::vector<bucketing::BucketBoundaries>* const> out) {
   OPTRULES_CHECK(requests.size() == out.size());
+  obs::Span span("engine.plan");
+  span.AddAttribute("bucketizer", static_cast<double>(options_.bucketizer));
+  span.AddAttribute("boundary_sets", static_cast<double>(requests.size()));
+  span.AddAttribute("rows", static_cast<double>(source_->NumTuples()));
   const int num_numeric = schema_.num_numeric();
   const size_t sets = requests.size();
   for (size_t i = 0; i < sets; ++i) {
@@ -454,6 +459,13 @@ void MiningEngine::PlanBoundarySets(
         }
       }
       for (size_t i = 0; i < sets; ++i) {
+        // Same bucket count means same epsilon, hence the same sketch
+        // group and the same cut points: copy instead of re-extracting.
+        const size_t same = first_copyable(i);
+        if (same != i) {
+          *out[i] = *out[same];
+          continue;
+        }
         for (int a = 0; a < num_numeric; ++a) {
           const auto& sketch =
               sketches[group_of[i] * static_cast<size_t>(num_numeric) +

@@ -1,6 +1,5 @@
 #include "serve/protocol.h"
 
-#include <cmath>
 #include <cstring>
 #include <limits>
 
@@ -566,12 +565,15 @@ Status ValidateSessionOptions(const rules::MinerOptions& options) {
     return Status::InvalidArgument(
         "region_grid_buckets out of range [1, 4096]");
   }
-  if (!std::isfinite(options.min_support) ||
-      !std::isfinite(options.min_confidence)) {
-    return Status::InvalidArgument("non-finite mining threshold");
+  // Written so NaN fails every check.
+  if (!(0.0 <= options.min_support && options.min_support <= 1.0) ||
+      !(0.0 <= options.min_confidence && options.min_confidence <= 1.0)) {
+    return Status::InvalidArgument("mining threshold out of range [0, 1]");
   }
-  if (!(options.gk_epsilon >= 0.0) || options.gk_epsilon >= 1.0) {
-    return Status::InvalidArgument("gk_epsilon out of range [0, 1)");
+  // 0 selects the automatic epsilon 1/(4*num_buckets); an explicit one
+  // must satisfy GkQuantileSketch's 0 < epsilon < 0.5.
+  if (!(options.gk_epsilon >= 0.0 && options.gk_epsilon < 0.5)) {
+    return Status::InvalidArgument("gk_epsilon out of range [0, 0.5)");
   }
   return Status::Ok();
 }

@@ -19,12 +19,15 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -237,29 +240,89 @@ std::function<Result<std::unique_ptr<ScanWorker>>()> FaultyWorkerFactory(
   };
 }
 
-/// Forwards to `inner`, bumping a shared call counter: lets tests count
-/// CountPartition attempts across a whole roster.
-class CountingScanWorker final : public ScanWorker {
+/// A fault pinned to ONE partition instead of to one worker: whichever
+/// worker of a roster first scans `path` fires it (`armed` is one-shot and
+/// shared by the roster). The work queue lets any idle slot claim any
+/// unstarted partition, so a fault keyed to one worker's call ordinal
+/// (FaultyWorkerFactory) never fires when the faulty worker's peers drain
+/// the queue first; a fault keyed to a partition fires on every schedule.
+/// Also counts the scans launched per partition path.
+struct PinnedFault {
+  enum class Kind {
+    /// Fails the scan and breaks the worker's transport (in-process kill -9).
+    kTransportDeath,
+    /// Holds the scan until a second scan of the same partition -- the
+    /// speculative duplicate -- has returned, then scans normally.
+    kStraggleUntilDuplicate,
+  };
+  PinnedFault(std::string pinned_path, Kind fault_kind)
+      : path(std::move(pinned_path)), kind(fault_kind) {}
+
+  int launches_of(const std::string& partition_path) {
+    std::lock_guard<std::mutex> lock(mu);
+    return launches[partition_path];
+  }
+
+  const std::string path;
+  const Kind kind;
+  std::atomic<bool> armed{true};
+  std::mutex mu;
+  std::condition_variable cv;
+  bool duplicate_returned = false;      // guarded by mu
+  std::map<std::string, int> launches;  // guarded by mu
+};
+
+class PinnedFaultScanWorker final : public ScanWorker {
  public:
-  CountingScanWorker(std::unique_ptr<ScanWorker> inner,
-                     std::shared_ptr<std::atomic<int64_t>> calls)
-      : inner_(std::move(inner)), calls_(std::move(calls)) {}
+  explicit PinnedFaultScanWorker(std::shared_ptr<PinnedFault> fault)
+      : fault_(std::move(fault)) {}
 
   Result<bucketing::MultiCountPlan> CountPartition(
       const std::string& partition_path, const PartitionScanSpec& spec,
       storage::BatchSourceStats* stats) override {
-    calls_->fetch_add(1);
-    return inner_->CountPartition(partition_path, spec, stats);
+    if (!healthy_) return Status::IoError("pinned-fault worker is down");
+    {
+      std::lock_guard<std::mutex> lock(fault_->mu);
+      ++fault_->launches[partition_path];
+    }
+    const bool pinned = partition_path == fault_->path;
+    if (pinned && fault_->armed.exchange(false)) {
+      if (fault_->kind == PinnedFault::Kind::kTransportDeath) {
+        healthy_ = false;
+        return Status::IoError("injected transport death");
+      }
+      // Bounded, so a coordinator that never speculates fails the
+      // launch-count assertions instead of hanging the test.
+      std::unique_lock<std::mutex> lock(fault_->mu);
+      fault_->cv.wait_for(lock, std::chrono::seconds(30),
+                          [this] { return fault_->duplicate_returned; });
+      lock.unlock();
+      return inner_.CountPartition(partition_path, spec, stats);
+    }
+    Result<bucketing::MultiCountPlan> result =
+        inner_.CountPartition(partition_path, spec, stats);
+    if (pinned) {
+      std::lock_guard<std::mutex> lock(fault_->mu);
+      fault_->duplicate_returned = true;
+      fault_->cv.notify_all();
+    }
+    return result;
   }
-  Status Ping(int64_t timeout_ms) override {
-    return inner_->Ping(timeout_ms);
-  }
-  bool healthy() const override { return inner_->healthy(); }
+  bool healthy() const override { return healthy_; }
 
  private:
-  std::unique_ptr<ScanWorker> inner_;
-  std::shared_ptr<std::atomic<int64_t>> calls_;
+  std::shared_ptr<PinnedFault> fault_;
+  InProcessScanWorker inner_;
+  bool healthy_ = true;
 };
+
+std::function<Result<std::unique_ptr<ScanWorker>>()> PinnedFaultFactory(
+    std::shared_ptr<PinnedFault> fault) {
+  return [fault]() -> Result<std::unique_ptr<ScanWorker>> {
+    return std::unique_ptr<ScanWorker>(
+        std::make_unique<PinnedFaultScanWorker>(fault));
+  };
+}
 
 // ----------------------------------------------------------- manifest ----
 
@@ -1049,10 +1112,10 @@ TEST(FaultToleranceTest, InProcessWorkerCrashFailsOverBitExactly) {
     FaultFixture fixture(1100, 31, k, "fault_inproc_k" + std::to_string(k));
     DistributedScanOptions options;
     options.max_workers = 3;
-    options.worker_factory = FaultyWorkerFactory(
-        0, {{.at_call = 0,
-             .status = Status::IoError("injected transport death"),
-             .mark_unhealthy = true}});
+    options.worker_factory =
+        PinnedFaultFactory(std::make_shared<PinnedFault>(
+            fixture.table.value().PartitionPath(0),
+            PinnedFault::Kind::kTransportDeath));
     DistributedScanCoordinator coordinator(&fixture.table.value(), options);
     MultiCountPlan plan(fixture.spec);
     ASSERT_TRUE(coordinator.Execute(&plan).ok());
@@ -1260,31 +1323,31 @@ TEST(FaultToleranceTest, SpeculativeTailDuplicateIsDiscarded) {
   DistributedScanOptions options;
   options.max_workers = 3;
   options.speculative_tail = true;
-  // Slot 0 dawdles 400 ms on partition 0; slots 1 and 2 finish their own
-  // partitions ~instantly, go idle, and exactly one of them speculatively
-  // re-runs partition 0 (the speculation is one-shot per partition). The
-  // duplicate's partial wins; the straggler's late copy is discarded.
-  auto calls = std::make_shared<std::atomic<int64_t>>(0);
-  auto built = std::make_shared<std::atomic<int>>(0);
-  options.worker_factory =
-      [calls, built]() -> Result<std::unique_ptr<ScanWorker>> {
-    std::vector<InjectedFault> faults;
-    if (built->fetch_add(1) == 0) {
-      faults.push_back({.at_call = 0, .delay_ms = 400});
-    }
-    return std::unique_ptr<ScanWorker>(std::make_unique<CountingScanWorker>(
-        std::make_unique<FaultInjectingScanWorker>(
-            std::make_unique<InProcessScanWorker>(), std::move(faults)),
-        calls));
-  };
+  // The first scan of partition 0 (whichever slot claims it) straggles
+  // until its speculative duplicate has returned. The other slots finish
+  // their partitions, go idle with the queue empty, and exactly one of
+  // them re-runs partition 0 (speculation is one-shot per partition).
+  // Whichever copy lands second is discarded.
+  const std::string straggler = fixture.table.value().PartitionPath(0);
+  auto fault = std::make_shared<PinnedFault>(
+      straggler, PinnedFault::Kind::kStraggleUntilDuplicate);
+  options.worker_factory = PinnedFaultFactory(fault);
   DistributedScanCoordinator coordinator(&fixture.table.value(), options);
   MultiCountPlan plan(fixture.spec);
   ASSERT_TRUE(coordinator.Execute(&plan).ok());
   // Bit-identity is the double-merge detector: a duplicate partial merged
   // twice would double partition 0's counts.
   ExpectPlansIdentical(plan, fixture.reference);
-  // 3 partitions + exactly one speculative duplicate ran.
-  EXPECT_EQ(calls->load(), 4);
+  // Partition 0 ran exactly twice: the straggler plus one duplicate. A
+  // loaded host may also speculate another slow partition, but never
+  // more than once.
+  EXPECT_EQ(fault->launches_of(straggler), 2);
+  for (int p = 1; p < 3; ++p) {
+    const int launches =
+        fault->launches_of(fixture.table.value().PartitionPath(p));
+    EXPECT_GE(launches, 1) << "partition " << p;
+    EXPECT_LE(launches, 2) << "partition " << p;
+  }
   EXPECT_EQ(coordinator.scan_stats().retries, 0);
 }
 
@@ -1391,10 +1454,10 @@ TEST(FaultToleranceTest, EngineScanStatsExposeFaultCounters) {
   ASSERT_TRUE(table.ok());
   DistributedScanOptions scan_options;
   scan_options.max_workers = 2;
-  scan_options.worker_factory = FaultyWorkerFactory(
-      0, {{.at_call = 0,
-           .status = Status::IoError("injected transport death"),
-           .mark_unhealthy = true}});
+  scan_options.worker_factory =
+      PinnedFaultFactory(std::make_shared<PinnedFault>(
+          table.value().PartitionPath(0),
+          PinnedFault::Kind::kTransportDeath));
   rules::MinerOptions options;
   options.num_buckets = 12;
   rules::MiningEngine engine(&table.value(), options, scan_options);

@@ -7,6 +7,7 @@
 // the scan hot path stays O(batches + shards), never O(rows)).
 
 #include <atomic>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "datagen/table_generator.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "rules/miner.h"
 #include "storage/columnar_batch.h"
 
 namespace optrules::obs {
@@ -298,6 +300,65 @@ TEST(Trace, OrphanedSpansPromoteToRoots) {
   EXPECT_EQ(json.find("child.a"), std::string::npos);
   EXPECT_NE(json.find("evicted.parent"), std::string::npos);
   EXPECT_NE(json.find("child.c"), std::string::npos);
+}
+
+// Boundary planning is its own layer in exported traces: every
+// TryPrepare records exactly one engine.plan span, a child of the caller's
+// current span and a sibling of the counting scan it precedes, carrying
+// the bucketizer, the boundary-set count and the row count. Covers the
+// in-memory planner and the streaming GK planner.
+TEST(Trace, EnginePlanSpanPerPrepareUnderCallerSpan) {
+  datagen::TableConfig config;
+  config.num_rows = 3000;
+  config.num_numeric = 3;
+  config.num_boolean = 2;
+  Rng rng(17);
+  const storage::Relation relation = datagen::GenerateTable(config, rng);
+  storage::RelationBatchSource source(&relation);
+
+  Tracer& tracer = Tracer::Default();
+  tracer.Clear();
+  tracer.set_enabled(true);
+  uint64_t session_id = 0;
+  {
+    Span session("test.session");
+    session_id = session.id();
+    rules::MinerOptions options;
+    options.num_buckets = 20;
+    rules::MiningEngine in_memory(&relation, options);
+    ASSERT_TRUE(in_memory.RequestGeneralized({"bool0"}).ok());
+    ASSERT_TRUE(in_memory.TryPrepare().ok());
+    options.bucketizer = bucketing::Bucketizer::kGkSketch;
+    rules::MiningEngine streamed(&source, relation.schema(), options);
+    ASSERT_TRUE(streamed.RequestAverageTarget("num1").ok());
+    ASSERT_TRUE(streamed.TryPrepare().ok());
+    ASSERT_TRUE(streamed.TryPrepare().ok());  // already prepared: no plan
+  }
+  tracer.set_enabled(false);
+
+  std::vector<SpanRecord> plans;
+  std::vector<SpanRecord> scans;
+  for (const SpanRecord& span : tracer.Snapshot()) {
+    if (span.name == "engine.plan") plans.push_back(span);
+    if (span.name == "bucketing.scan") scans.push_back(span);
+  }
+  tracer.Clear();
+  ASSERT_EQ(plans.size(), 2u);
+  ASSERT_EQ(scans.size(), 2u);
+  const double bucketizers[] = {
+      static_cast<double>(bucketing::Bucketizer::kSampling),
+      static_cast<double>(bucketing::Bucketizer::kGkSketch)};
+  for (size_t i = 0; i < plans.size(); ++i) {
+    EXPECT_EQ(plans[i].parent_id, session_id);
+    EXPECT_EQ(scans[i].parent_id, session_id);
+    EXPECT_LE(plans[i].start_seconds + plans[i].duration_seconds,
+              scans[i].start_seconds);
+    std::map<std::string, double> attributes(plans[i].attributes.begin(),
+                                             plans[i].attributes.end());
+    EXPECT_EQ(attributes["bucketizer"], bucketizers[i]);
+    EXPECT_EQ(attributes["boundary_sets"], 2.0);  // base + one extra set
+    EXPECT_EQ(attributes["rows"], 3000.0);
+  }
 }
 
 }  // namespace

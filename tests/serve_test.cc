@@ -410,6 +410,33 @@ TEST(ServeProtocolTest, ValidateSessionOptionsBounds) {
   bad = SmallOptions();
   bad.min_support = std::nan("");
   EXPECT_FALSE(ValidateSessionOptions(bad).ok());
+
+  // Exactly the engine's preconditions: thresholds in [0, 1] and an
+  // explicit GK epsilon below 0.5 (0 = auto).
+  const auto valid = [](void (*edit)(rules::MinerOptions&)) {
+    rules::MinerOptions options = SmallOptions();
+    edit(options);
+    return ValidateSessionOptions(options).ok();
+  };
+  EXPECT_TRUE(valid([](rules::MinerOptions& o) { o.min_support = 0.0; }));
+  EXPECT_TRUE(valid([](rules::MinerOptions& o) { o.min_support = 1.0; }));
+  EXPECT_FALSE(valid([](rules::MinerOptions& o) { o.min_support = -0.0001; }));
+  EXPECT_FALSE(valid([](rules::MinerOptions& o) { o.min_support = 1.0001; }));
+  EXPECT_TRUE(valid([](rules::MinerOptions& o) { o.min_confidence = 0.0; }));
+  EXPECT_TRUE(valid([](rules::MinerOptions& o) { o.min_confidence = 1.0; }));
+  EXPECT_FALSE(
+      valid([](rules::MinerOptions& o) { o.min_confidence = -0.0001; }));
+  EXPECT_FALSE(
+      valid([](rules::MinerOptions& o) { o.min_confidence = 1.0001; }));
+  EXPECT_FALSE(
+      valid([](rules::MinerOptions& o) { o.min_confidence = std::nan(""); }));
+  EXPECT_TRUE(valid([](rules::MinerOptions& o) { o.gk_epsilon = 0.0; }));
+  EXPECT_TRUE(valid([](rules::MinerOptions& o) { o.gk_epsilon = 0.4999; }));
+  EXPECT_FALSE(valid([](rules::MinerOptions& o) { o.gk_epsilon = 0.5; }));
+  EXPECT_FALSE(valid([](rules::MinerOptions& o) { o.gk_epsilon = 0.7; }));
+  EXPECT_FALSE(valid([](rules::MinerOptions& o) { o.gk_epsilon = -0.1; }));
+  EXPECT_FALSE(
+      valid([](rules::MinerOptions& o) { o.gk_epsilon = std::nan(""); }));
 }
 
 // ---------------------------------------------- FrameWriter atomicity ----
@@ -679,6 +706,37 @@ TEST(MiningServerTest, HostileFramesFailOnlyTheOffendingSession) {
   ASSERT_TRUE(mixed.ok()) << mixed.status().ToString();
   ASSERT_EQ(mixed.value().answers.size(), 1u);
   EXPECT_FALSE(mixed.value().answers[0].status.ok());
+  server.Stop();
+}
+
+// Options the validator used to pass but the engine CHECKs (here a GK
+// epsilon of 0.7, which GkQuantileSketch requires below 0.5) fail only
+// their own session with InvalidArgument; the server stays up and answers
+// the next session.
+TEST(MiningServerTest, OutOfRangeGkEpsilonFailsOnlyItsSession) {
+  const std::string root = TempDir("serve_gk_epsilon");
+  const std::string table_dir = root + "/table";
+  const dist::PartitionedTable table = MakeTable(table_dir, 300, 53);
+
+  ServerOptions options;
+  options.coalescing_window_ms = 5;
+  MiningServer server(options);
+  ASSERT_TRUE(server.ListenUnix(root + "/serve.sock").ok());
+  ASSERT_TRUE(server.Start().ok());
+
+  MiningClient client = Connect(server);
+  SessionRequest hostile = PairRequest(table_dir, table.schema());
+  hostile.options.bucketizer = rules::Bucketizer::kGkSketch;
+  hostile.options.gk_epsilon = 0.7;
+  EXPECT_EQ(client.RunSession(hostile).status().code(),
+            StatusCode::kInvalidArgument);
+
+  SessionRequest next = PairRequest(table_dir, table.schema());
+  next.options.bucketizer = rules::Bucketizer::kGkSketch;
+  auto answered = client.RunSession(next);
+  ASSERT_TRUE(answered.ok()) << answered.status().ToString();
+  ASSERT_EQ(answered.value().answers.size(), 1u);
+  EXPECT_TRUE(answered.value().answers[0].status.ok());
   server.Stop();
 }
 
