@@ -14,15 +14,17 @@
 // OPTRULES_BENCH_SCALE to grow N (e.g. 12 reaches the paper's 6*10^6).
 
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include "bench/bench_util.h"
 #include "bucketing/counting.h"
 #include "bucketing/equidepth_sampler.h"
+#include "bucketing/parallel_count.h"
 #include "bucketing/sort_bucketizer.h"
 #include "common/timer.h"
 #include "datagen/table_generator.h"
-#include "storage/tuple_stream.h"
+#include "storage/columnar_batch.h"
 
 namespace {
 
@@ -31,24 +33,49 @@ constexpr size_t kSortMemoryBudget = 16 << 20;  // force external behaviour
 
 using optrules::bucketing::BucketBoundaries;
 
+std::unique_ptr<optrules::storage::PagedFileBatchSource> OpenTable(
+    const std::string& table_path) {
+  auto source_or = optrules::storage::PagedFileBatchSource::Open(table_path);
+  OPTRULES_CHECK(source_or.ok());
+  return std::move(source_or.value());
+}
+
+/// The counting pass every arm ends with: one scan counting attribute
+/// `attr` against every Boolean attribute (a one-channel plan).
+void CountAttribute(optrules::storage::BatchSource& source, int attr,
+                    const BucketBoundaries& boundaries) {
+  optrules::bucketing::MultiCountSpec spec;
+  spec.num_targets = source.num_boolean();
+  optrules::bucketing::CountChannel channel;
+  channel.column = attr;
+  channel.boundaries = &boundaries;
+  spec.channels.push_back(channel);
+  optrules::bucketing::MultiCountPlan plan(std::move(spec));
+  optrules::bucketing::ExecuteMultiCount(source, &plan, nullptr);
+  OPTRULES_CHECK(plan.total_tuples() > 0);
+}
+
 double RunAlgorithm31(const std::string& table_path) {
   optrules::WallTimer timer;
-  auto stream_or = optrules::storage::FileTupleStream::Open(table_path);
-  OPTRULES_CHECK(stream_or.ok());
-  optrules::storage::FileTupleStream& stream = *stream_or.value();
+  auto source = OpenTable(table_path);
   optrules::bucketing::SamplerOptions options;
   options.num_buckets = kBuckets;
-  for (int attr = 0; attr < stream.num_numeric(); ++attr) {
+  for (int attr = 0; attr < source->num_numeric(); ++attr) {
+    // Steps 1-3: one sequential pass into a reservoir sample.
     optrules::Rng rng(100 + static_cast<uint64_t>(attr));
-    stream.Reset();
-    const BucketBoundaries boundaries =
-        optrules::bucketing::BuildEquiDepthBoundariesFromStream(
-            stream, attr, options, rng);
-    stream.Reset();
-    const optrules::bucketing::BucketCounts counts =
-        optrules::bucketing::CountBucketsFromStream(stream, attr,
-                                                    boundaries);
-    OPTRULES_CHECK(counts.total_tuples > 0);
+    optrules::bucketing::ReservoirSampler reservoir(
+        options.sample_per_bucket * options.num_buckets);
+    auto reader = source->CreateReader();
+    optrules::storage::ColumnarBatch batch;
+    while (reader->Next(&batch)) {
+      for (const double value : batch.numeric(attr)) {
+        reservoir.Add(value, rng);
+      }
+    }
+    reader.reset();
+    // Step 4: the counting pass.
+    CountAttribute(*source, attr,
+                   reservoir.TakeBoundaries(options.num_buckets));
   }
   return timer.ElapsedSeconds();
 }
@@ -56,21 +83,14 @@ double RunAlgorithm31(const std::string& table_path) {
 double RunNaiveSort(const std::string& table_path,
                     const std::string& temp_dir) {
   optrules::WallTimer timer;
-  auto info = optrules::storage::ReadPagedFileInfo(table_path);
-  OPTRULES_CHECK(info.ok());
-  for (int attr = 0; attr < info.value().num_numeric; ++attr) {
+  auto source = OpenTable(table_path);
+  for (int attr = 0; attr < source->num_numeric(); ++attr) {
     auto boundaries = optrules::bucketing::NaiveSortBoundariesFromFile(
         table_path, attr, kBuckets, temp_dir + "/fig9_sorted.optr",
         kSortMemoryBudget, temp_dir);
     OPTRULES_CHECK(boundaries.ok());
     // Counting pass over the table, for parity with the other arms.
-    auto stream_or = optrules::storage::FileTupleStream::Open(table_path);
-    OPTRULES_CHECK(stream_or.ok());
-    const optrules::bucketing::BucketCounts counts =
-        optrules::bucketing::CountBucketsFromStream(*stream_or.value(),
-                                                    attr,
-                                                    boundaries.value());
-    OPTRULES_CHECK(counts.total_tuples > 0);
+    CountAttribute(*source, attr, boundaries.value());
   }
   std::remove((temp_dir + "/fig9_sorted.optr").c_str());
   return timer.ElapsedSeconds();
@@ -79,21 +99,14 @@ double RunNaiveSort(const std::string& table_path,
 double RunVerticalSplitSort(const std::string& table_path,
                             const std::string& temp_dir) {
   optrules::WallTimer timer;
-  auto info = optrules::storage::ReadPagedFileInfo(table_path);
-  OPTRULES_CHECK(info.ok());
-  for (int attr = 0; attr < info.value().num_numeric; ++attr) {
+  auto source = OpenTable(table_path);
+  for (int attr = 0; attr < source->num_numeric(); ++attr) {
     auto boundaries =
         optrules::bucketing::VerticalSplitSortBoundariesFromFile(
             table_path, attr, kBuckets, temp_dir + "/fig9_split.bin",
             kSortMemoryBudget, temp_dir);
     OPTRULES_CHECK(boundaries.ok());
-    auto stream_or = optrules::storage::FileTupleStream::Open(table_path);
-    OPTRULES_CHECK(stream_or.ok());
-    const optrules::bucketing::BucketCounts counts =
-        optrules::bucketing::CountBucketsFromStream(*stream_or.value(),
-                                                    attr,
-                                                    boundaries.value());
-    OPTRULES_CHECK(counts.total_tuples > 0);
+    CountAttribute(*source, attr, boundaries.value());
   }
   std::remove((temp_dir + "/fig9_split.bin").c_str());
   return timer.ElapsedSeconds();

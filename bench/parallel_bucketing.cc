@@ -1,19 +1,20 @@
 // Section 3.3: parallel bucketing (Algorithm 3.2) on the columnar batch
 // core.
 //
-// Two workloads over the same generated table:
-//   1. ParallelCountBuckets -- one numeric attribute against 8 Boolean
-//      targets, sharded over a reusable thread pool with 1..8 shards.
-//   2. ExecuteMultiCount -- EVERY numeric attribute against every Boolean
-//      target in ONE shared scan of a RelationBatchSource, serial vs
-//      pooled.
+// Two workloads over the same generated table, each a MultiCountPlan run
+// by ExecuteMultiCount over ONE scan of a RelationBatchSource, serial and
+// row-sharded over reusable thread pools of 2..8 workers:
+//   1. one numeric attribute against 8 Boolean targets (one channel);
+//   2. EVERY numeric attribute against every Boolean target.
 // On a single-core host the speedup curves are flat; the harness still
 // verifies that every schedule produces identical counts (the algorithm's
 // correctness claim: counting is communication-free and exactly
 // partitionable).
 
 #include <cstdio>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "bucketing/equidepth_sampler.h"
@@ -22,6 +23,57 @@
 #include "common/timer.h"
 #include "datagen/table_generator.h"
 #include "storage/columnar_batch.h"
+
+namespace {
+
+using optrules::bucketing::BucketBoundaries;
+
+/// Counts channel a = numeric attribute a against `bounds[a]` and every
+/// Boolean target, once per pool size: pool 1 is the serial reference,
+/// larger pools run the row-sharded schedule. Prints one row per pool,
+/// adds `<key_prefix><pool>` seconds to `json`, and returns whether every
+/// schedule reproduced the serial u/v counts in exactly one scan.
+bool RunPools(const optrules::storage::Relation& table,
+              const std::vector<const BucketBoundaries*>& bounds,
+              const std::string& key_prefix,
+              optrules::bench::JsonReporter& json) {
+  std::printf("%8s %12s %10s %10s\n", "pool", "time (s)", "speedup",
+              "equal?");
+  optrules::bench::PrintRule(44);
+  double baseline = 0.0;
+  std::vector<optrules::bucketing::BucketCounts> reference;
+  bool all_equal = true;
+  for (const int pool_size : {1, 2, 4, 8}) {
+    optrules::storage::RelationBatchSource source(&table);
+    optrules::bucketing::MultiCountPlan plan(bounds,
+                                             table.schema().num_boolean());
+    optrules::ThreadPool pool(pool_size);
+    optrules::WallTimer timer;
+    optrules::bucketing::ExecuteMultiCount(
+        source, &plan, pool_size == 1 ? nullptr : &pool);
+    const double seconds = timer.ElapsedSeconds();
+    bool equal = source.scans_started() == 1;  // one scan, any schedule
+    if (pool_size == 1) baseline = seconds;
+    for (int a = 0; a < plan.num_channels(); ++a) {
+      if (pool_size == 1) {
+        reference.push_back(plan.TakeCounts(a));
+        continue;
+      }
+      const optrules::bucketing::BucketCounts& counts = plan.counts(a);
+      const optrules::bucketing::BucketCounts& expected =
+          reference[static_cast<size_t>(a)];
+      equal = equal && counts.u == expected.u && counts.v == expected.v;
+    }
+    all_equal = all_equal && equal;
+    std::printf("%8d %12.3f %10.2f %10s\n", pool_size, seconds,
+                baseline / seconds, equal ? "yes" : "NO");
+    json.Add(key_prefix + std::to_string(pool_size), seconds);
+  }
+  optrules::bench::PrintRule(44);
+  return all_equal;
+}
+
+}  // namespace
 
 int main() {
   const int64_t scale = optrules::bench::BenchScale();
@@ -39,12 +91,9 @@ int main() {
   optrules::bucketing::SamplerOptions sampler;
   sampler.num_buckets = 1000;
   optrules::Rng sample_rng(78);
-  const optrules::bucketing::BucketBoundaries boundaries =
+  const BucketBoundaries boundaries =
       optrules::bucketing::BuildEquiDepthBoundaries(
           table.NumericColumn(0), sampler, sample_rng);
-
-  std::vector<const std::vector<uint8_t>*> targets;
-  for (int b = 0; b < 8; ++b) targets.push_back(&table.BooleanColumn(b));
 
   optrules::bench::PrintHeader(
       "Algorithm 3.2: parallel bucket counting (1000 buckets, 8 targets)");
@@ -53,82 +102,25 @@ int main() {
   json.Add("rows", rows);
   json.Add("hardware_threads",
            static_cast<int64_t>(std::thread::hardware_concurrency()));
-  std::printf("%8s %12s %10s %10s\n", "shards", "time (s)", "speedup",
-              "equal?");
-  optrules::bench::PrintRule(44);
-
-  double baseline = 0.0;
-  optrules::bucketing::BucketCounts reference;
-  bool all_equal = true;
-  for (const int threads : {1, 2, 4, 8}) {
-    optrules::WallTimer timer;
-    const optrules::bucketing::BucketCounts counts =
-        optrules::bucketing::ParallelCountBuckets(
-            table.NumericColumn(0), targets, boundaries, threads);
-    const double seconds = timer.ElapsedSeconds();
-    if (threads == 1) {
-      baseline = seconds;
-      reference = counts;
-    }
-    const bool equal =
-        counts.u == reference.u && counts.v == reference.v;
-    all_equal = all_equal && equal;
-    std::printf("%8d %12.3f %10.2f %10s\n", threads, seconds,
-                baseline / seconds, equal ? "yes" : "NO");
-    json.Add("count_seconds_shards_" + std::to_string(threads), seconds);
-  }
-  optrules::bench::PrintRule(44);
+  const bool single_equal =
+      RunPools(table, {&boundaries}, "count_seconds_pool_", json);
 
   // Multi-pair shared scan: all 4 numeric attributes x 8 targets at once.
   optrules::bench::PrintHeader(
       "Columnar multi-count: 4 numeric x 8 boolean in ONE shared scan");
-  std::vector<optrules::bucketing::BucketBoundaries> per_attr;
+  std::vector<BucketBoundaries> per_attr;
   for (int a = 0; a < 4; ++a) {
     optrules::Rng attr_rng(200 + static_cast<uint64_t>(a));
     per_attr.push_back(optrules::bucketing::BuildEquiDepthBoundaries(
         table.NumericColumn(a), sampler, attr_rng));
   }
-  std::vector<const optrules::bucketing::BucketBoundaries*> bounds;
+  std::vector<const BucketBoundaries*> bounds;
   for (const auto& b : per_attr) bounds.push_back(&b);
+  const bool multi_equal =
+      RunPools(table, bounds, "multicount_seconds_pool_", json);
 
-  std::printf("%8s %12s %10s %10s\n", "pool", "time (s)", "speedup",
-              "equal?");
-  optrules::bench::PrintRule(44);
-  double multi_baseline = 0.0;
-  std::vector<optrules::bucketing::BucketCounts> multi_reference;
-  bool multi_equal = true;
-  for (const int pool_size : {1, 2, 4, 8}) {
-    optrules::storage::RelationBatchSource source(&table);
-    optrules::bucketing::MultiCountPlan plan(bounds, 8);
-    optrules::ThreadPool pool(pool_size);
-    optrules::WallTimer timer;
-    optrules::bucketing::ExecuteMultiCount(
-        source, &plan, pool_size == 1 ? nullptr : &pool);
-    const double seconds = timer.ElapsedSeconds();
-    bool equal = true;
-    if (pool_size == 1) {
-      multi_baseline = seconds;
-      for (int a = 0; a < 4; ++a) {
-        multi_reference.push_back(plan.TakeCounts(a));
-      }
-    } else {
-      for (int a = 0; a < 4; ++a) {
-        const auto& counts = plan.counts(a);
-        equal = equal &&
-                counts.u == multi_reference[static_cast<size_t>(a)].u &&
-                counts.v == multi_reference[static_cast<size_t>(a)].v;
-      }
-    }
-    multi_equal = multi_equal && equal;
-    std::printf("%8d %12.3f %10.2f %10s\n", pool_size, seconds,
-                multi_baseline / seconds, equal ? "yes" : "NO");
-    json.Add("multicount_seconds_pool_" + std::to_string(pool_size),
-             seconds);
-    OPTRULES_CHECK(source.scans_started() == 1);  // one scan, any schedule
-  }
-  optrules::bench::PrintRule(44);
   std::printf("Counts identical for every schedule: %s\n",
-              all_equal && multi_equal ? "yes" : "NO");
-  json.Add("all_equal", all_equal && multi_equal);
-  return all_equal && multi_equal ? 0 : 1;
+              single_equal && multi_equal ? "yes" : "NO");
+  json.Add("all_equal", single_equal && multi_equal);
+  return single_equal && multi_equal ? 0 : 1;
 }

@@ -167,18 +167,17 @@ size_t CompactByU(std::span<const int64_t> u, MoveRow&& move_row) {
 
 }  // namespace
 
-BucketCounts CountBucketsSlice(
+BucketCounts CountBuckets(
     std::span<const double> values,
     std::span<const std::vector<uint8_t>* const> targets,
-    const BucketBoundaries& boundaries, size_t begin, size_t end) {
-  OPTRULES_CHECK(begin <= end && end <= values.size());
+    const BucketBoundaries& boundaries) {
   BucketCounts counts = MakeEmptyCounts(boundaries.num_buckets(),
                                         static_cast<int>(targets.size()));
   for (const std::vector<uint8_t>* target : targets) {
     OPTRULES_CHECK(target != nullptr);
     OPTRULES_CHECK(target->size() == values.size());
   }
-  for (size_t row = begin; row < end; ++row) {
+  for (size_t row = 0; row < values.size(); ++row) {
     const int bucket = boundaries.Locate(values[row]);
     if (bucket == BucketBoundaries::kNoBucket) continue;  // NaN: no bucket
     ++counts.u[static_cast<size_t>(bucket)];
@@ -190,15 +189,8 @@ BucketCounts CountBucketsSlice(
     }
   }
   // NaN rows still count toward the support denominator N.
-  counts.total_tuples = static_cast<int64_t>(end - begin);
+  counts.total_tuples = static_cast<int64_t>(values.size());
   return counts;
-}
-
-BucketCounts CountBuckets(
-    std::span<const double> values,
-    std::span<const std::vector<uint8_t>* const> targets,
-    const BucketBoundaries& boundaries) {
-  return CountBucketsSlice(values, targets, boundaries, 0, values.size());
 }
 
 BucketCounts CountBuckets(std::span<const double> values,
@@ -228,32 +220,6 @@ BucketCounts CountBucketsConditional(std::span<const double> values,
   // N stays the full table size: the support of a generalized rule is
   // measured against all tuples (Definition 2.2).
   counts.total_tuples = static_cast<int64_t>(values.size());
-  return counts;
-}
-
-BucketCounts CountBucketsFromStream(storage::TupleStream& stream,
-                                    int numeric_attr,
-                                    const BucketBoundaries& boundaries) {
-  OPTRULES_CHECK(0 <= numeric_attr && numeric_attr < stream.num_numeric());
-  BucketCounts counts =
-      MakeEmptyCounts(boundaries.num_buckets(), stream.num_boolean());
-  storage::TupleView view;
-  int64_t total = 0;
-  const int num_targets = stream.num_boolean();
-  while (stream.Next(&view)) {
-    const double value = view.numeric[numeric_attr];
-    const int bucket = boundaries.Locate(value);
-    ++total;  // NaN rows still count toward the support denominator N
-    if (bucket == BucketBoundaries::kNoBucket) continue;
-    ++counts.u[static_cast<size_t>(bucket)];
-    UpdateMinMax(&counts, bucket, value);
-    for (int t = 0; t < num_targets; ++t) {
-      if (view.booleans[t] != 0) {
-        ++counts.v[static_cast<size_t>(t)][static_cast<size_t>(bucket)];
-      }
-    }
-  }
-  counts.total_tuples = total;
   return counts;
 }
 
@@ -322,7 +288,6 @@ MultiCountPlan::MultiCountPlan(MultiCountSpec spec) : spec_(std::move(spec)) {
   sums_.reserve(spec_.channels.size());
   sum_comp_.reserve(spec_.channels.size());
   sums_taken_.assign(spec_.channels.size(), 0);
-  scratch_.resize(spec_.channels.size());
   channel_group_.reserve(spec_.channels.size());
   condition_masks_.resize(spec_.conditions.size());
   condition_rows_.resize(spec_.conditions.size());
@@ -345,7 +310,6 @@ MultiCountPlan::MultiCountPlan(MultiCountSpec spec) : spec_(std::move(spec)) {
   }
   grids_.reserve(spec_.grid_channels.size());
   grid_groups_.reserve(spec_.grid_channels.size());
-  grid_scratch_.resize(spec_.grid_channels.size());
   for (const GridChannel& channel : spec_.grid_channels) {
     OPTRULES_CHECK(channel.x_boundaries != nullptr);
     OPTRULES_CHECK(channel.y_boundaries != nullptr);
@@ -407,7 +371,6 @@ void MultiCountPlan::PrepareBatch(const storage::ColumnarBatch& batch) {
 
 void MultiCountPlan::AccumulateChannel(const storage::ColumnarBatch& batch,
                                        int channel_index) {
-  OPTRULES_CHECK(0 <= channel_index && channel_index < num_channels());
   OPTRULES_CHECK(batch.num_boolean() == spec_.num_targets);
   const auto ci = static_cast<size_t>(channel_index);
   const CountChannel& channel = spec_.channels[ci];
@@ -416,9 +379,7 @@ void MultiCountPlan::AccumulateChannel(const storage::ColumnarBatch& batch,
   BucketCounts& counts = counts_[ci];
 
   const LocateGroup& group = locate_groups_[channel_group_[ci]];
-  const std::vector<int32_t>& located = group.buckets;
-  OPTRULES_CHECK(located.size() == rows);  // PrepareBatch ran for the batch
-  const int32_t* buckets = located.data();
+  const int32_t* buckets = group.buckets.data();
   WallTimer timer;
 
   if (!simd::ForceScalar()) {
@@ -465,14 +426,13 @@ void MultiCountPlan::AccumulateChannel(const storage::ColumnarBatch& batch,
   // Reference arm (OPTRULES_FORCE_SCALAR=1): the pre-SIMD guarded scatter,
   // kept verbatim as the bit-identity baseline the differential tests pin.
   // Conditional channels overlay the condition mask onto the shared cache
-  // once (into per-channel scratch, so concurrent channels of one plan
-  // never share mutable state); the scatter passes below then treat
+  // once (into scratch); the scatter passes below then treat
   // condition-failing rows exactly like NaN rows.
   if (channel.condition != CountChannel::kUnconditional) {
     const std::vector<uint8_t>& mask =
         condition_masks_[static_cast<size_t>(channel.condition)];
     OPTRULES_CHECK(mask.size() == rows);
-    std::vector<int32_t>& masked = scratch_[ci];
+    std::vector<int32_t>& masked = scratch_;
     masked.resize(rows);
     for (size_t row = 0; row < rows; ++row) {
       masked[row] =
@@ -525,7 +485,6 @@ void MultiCountPlan::AccumulateChannel(const storage::ColumnarBatch& batch,
 
 void MultiCountPlan::AccumulateGridChannel(const storage::ColumnarBatch& batch,
                                            int grid_channel) {
-  OPTRULES_CHECK(0 <= grid_channel && grid_channel < num_grid_channels());
   OPTRULES_CHECK(batch.num_boolean() == spec_.num_targets);
   const auto gi = static_cast<size_t>(grid_channel);
   GridBucketCounts& grid = grids_[gi];
@@ -534,8 +493,8 @@ void MultiCountPlan::AccumulateGridChannel(const storage::ColumnarBatch& batch,
   const std::vector<int32_t>& y_located =
       locate_groups_[grid_groups_[gi].second].buckets;
   const size_t rows = static_cast<size_t>(batch.num_rows());
-  OPTRULES_CHECK(x_located.size() == rows);  // PrepareBatch ran for the batch
-  OPTRULES_CHECK(y_located.size() == rows);
+  OPTRULES_CHECK(x_located.size() == rows);  // both axis columns span
+  OPTRULES_CHECK(y_located.size() == rows);  // every row of the batch
 
   WallTimer timer;
   // Fold the two cached axis indices into one flat cell index per row; a
@@ -543,7 +502,7 @@ void MultiCountPlan::AccumulateGridChannel(const storage::ColumnarBatch& batch,
   // 1-D policy per axis pair. Axis indices are -1 or non-negative, so the
   // kernels' bitwise-or miss test is exactly the two-sided kNoBucket
   // check, on every arm.
-  std::vector<int32_t>& cells = grid_scratch_[gi];
+  std::vector<int32_t>& cells = scratch_;
   cells.resize(rows);
   const simd::Kernels& kernels =
       simd::ForceScalar() ? simd::ScalarKernels() : simd::Active();

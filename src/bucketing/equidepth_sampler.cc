@@ -65,19 +65,4 @@ BucketBoundaries ReservoirSampler::TakeBoundaries(int num_buckets) {
   return BoundariesFromSample(sample_, num_buckets);
 }
 
-BucketBoundaries BuildEquiDepthBoundariesFromStream(
-    storage::TupleStream& stream, int numeric_attr,
-    const SamplerOptions& options, Rng& rng) {
-  OPTRULES_CHECK(options.num_buckets >= 1);
-  OPTRULES_CHECK(options.sample_per_bucket >= 1);
-  OPTRULES_CHECK(0 <= numeric_attr && numeric_attr < stream.num_numeric());
-  ReservoirSampler reservoir(options.sample_per_bucket *
-                             options.num_buckets);
-  storage::TupleView view;
-  while (stream.Next(&view)) {
-    reservoir.Add(view.numeric[numeric_attr], rng);
-  }
-  return reservoir.TakeBoundaries(options.num_buckets);
-}
-
 }  // namespace optrules::bucketing

@@ -6,11 +6,11 @@
 // 3. Take every (S/M)-th sample value as a cut point.
 // The subsequent counting scan (step 4) lives in bucketing/counting.h.
 //
-// Substitution note (documented in DESIGN.md): for disk-resident streams we
-// draw the sample by single-pass reservoir sampling instead of
-// with-replacement random access, which avoids random I/O; the resulting
-// without-replacement sample concentrates at least as tightly around the
-// quantiles as the with-replacement sample the paper analyzes.
+// Substitution note: for tables scanned in batches (disk-resident ones
+// included) the sample is drawn by single-pass reservoir sampling instead
+// of with-replacement random access, which avoids random I/O; the
+// resulting without-replacement sample concentrates at least as tightly
+// around the quantiles as the with-replacement sample the paper analyzes.
 
 #ifndef OPTRULES_BUCKETING_EQUIDEPTH_SAMPLER_H_
 #define OPTRULES_BUCKETING_EQUIDEPTH_SAMPLER_H_
@@ -21,7 +21,6 @@
 
 #include "bucketing/boundaries.h"
 #include "common/rng.h"
-#include "storage/tuple_stream.h"
 
 namespace optrules::bucketing {
 
@@ -39,16 +38,9 @@ BucketBoundaries BuildEquiDepthBoundaries(std::span<const double> values,
                                           const SamplerOptions& options,
                                           Rng& rng);
 
-/// Builds approximate equi-depth boundaries for `numeric_attr` from one
-/// sequential pass over `stream` (reservoir sample). Leaves the stream
-/// positioned at the end; callers Reset() before the counting pass.
-BucketBoundaries BuildEquiDepthBoundariesFromStream(
-    storage::TupleStream& stream, int numeric_attr,
-    const SamplerOptions& options, Rng& rng);
-
 /// Bounded uniform sample maintained by Vitter's algorithm R: the
-/// single-pass building block behind the stream sampler above and the
-/// MiningEngine's all-attributes-at-once planning scan.
+/// single-pass building block behind the MiningEngine's
+/// all-attributes-at-once planning scan.
 class ReservoirSampler {
  public:
   /// `capacity` is the sample size S (> 0).

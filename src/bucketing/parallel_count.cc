@@ -1,77 +1,12 @@
 #include "bucketing/parallel_count.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace optrules::bucketing {
-
-BucketCounts ParallelCountBuckets(
-    std::span<const double> values,
-    std::span<const std::vector<uint8_t>* const> targets,
-    const BucketBoundaries& boundaries, int num_threads, ThreadPool& pool) {
-  OPTRULES_CHECK(num_threads >= 1);
-  for (const std::vector<uint8_t>* target : targets) {
-    OPTRULES_CHECK(target != nullptr);
-    OPTRULES_CHECK(target->size() == values.size());
-  }
-
-  // Step 1: split rows into near-equal contiguous shards, one task per
-  // shard (the paper's PEs); the pool executes them with live workers.
-  const size_t n = values.size();
-  const size_t shards = static_cast<size_t>(num_threads);
-  std::vector<BucketCounts> partials(shards);
-
-  // Step 3 (per PE): private counting, no shared state.
-  pool.Run(num_threads, [&](int shard) {
-    const auto s = static_cast<size_t>(shard);
-    const size_t begin = n * s / shards;
-    const size_t end = n * (s + 1) / shards;
-    partials[s] = CountBucketsSlice(values, targets, boundaries, begin, end);
-  });
-
-  // Step 4: the coordinator sums the partial counts in shard order.
-  BucketCounts total = std::move(partials[0]);
-  for (size_t shard = 1; shard < shards; ++shard) {
-    const BucketCounts& part = partials[shard];
-    for (int b = 0; b < total.num_buckets(); ++b) {
-      const auto bi = static_cast<size_t>(b);
-      total.u[bi] += part.u[bi];
-      for (int t = 0; t < total.num_targets(); ++t) {
-        total.v[static_cast<size_t>(t)][bi] +=
-            part.v[static_cast<size_t>(t)][bi];
-      }
-      // Min and max merge independently (mirroring MultiCountPlan::Merge):
-      // nesting the max merge inside the min guard is correct only while
-      // the counting kernels always set the two together, and a future
-      // asymmetric update must not silently drop maxima.
-      if (!std::isnan(part.min_value[bi]) &&
-          (std::isnan(total.min_value[bi]) ||
-           part.min_value[bi] < total.min_value[bi])) {
-        total.min_value[bi] = part.min_value[bi];
-      }
-      if (!std::isnan(part.max_value[bi]) &&
-          (std::isnan(total.max_value[bi]) ||
-           part.max_value[bi] > total.max_value[bi])) {
-        total.max_value[bi] = part.max_value[bi];
-      }
-    }
-    total.total_tuples += part.total_tuples;
-  }
-  return total;
-}
-
-BucketCounts ParallelCountBuckets(
-    std::span<const double> values,
-    std::span<const std::vector<uint8_t>* const> targets,
-    const BucketBoundaries& boundaries, int num_threads) {
-  return ParallelCountBuckets(values, targets, boundaries, num_threads,
-                              DefaultThreadPool());
-}
 
 namespace {
 
@@ -209,32 +144,6 @@ void ExecuteRowSharded(storage::BatchSource& source, MultiCountPlan* plan,
   for (const MultiCountPlan& partial : partials) plan->Merge(partial);
 }
 
-/// Sequential reader, channel-parallel accumulation: per batch the
-/// channels (1-D and grid alike) fan out across the pool (each channel's
-/// counts, sums, and cells are disjoint state inside the shared plan).
-/// Every channel folds its rows serially, so even double sums stay
-/// bit-identical to a serial scan.
-void ExecuteChannelParallel(storage::BatchSource& source,
-                            MultiCountPlan* plan, ThreadPool& pool) {
-  std::unique_ptr<storage::BatchReader> reader = source.CreateReader();
-  storage::ColumnarBatch batch;
-  const int num_channels = plan->num_channels();
-  const int num_units = num_channels + plan->num_grid_channels();
-  while (reader->Next(&batch)) {
-    // Condition masks and the shared bucket-index cache are computed once
-    // on the reader thread; the fanned out channels only read them.
-    plan->PrepareBatch(batch);
-    pool.Run(num_units, [&](int unit) {
-      if (unit < num_channels) {
-        plan->AccumulateChannel(batch, unit);
-      } else {
-        plan->AccumulateGridChannel(batch, unit - num_channels);
-      }
-    });
-  }
-  plan->AddSkippedRows(reader->pruned_rows());
-}
-
 }  // namespace
 
 void ExecuteMultiCount(storage::BatchSource& source, MultiCountPlan* plan,
@@ -269,22 +178,17 @@ void ExecuteMultiCount(storage::BatchSource& source, MultiCountPlan* plan,
   PruneSpecGuard prune_guard(source, plan->spec());
   // A pool of size 1 still takes the sharded path (with the same
   // pool-independent shard layout), so its sums are bit-identical to any
-  // larger pool's; only pool == nullptr is the unsharded serial reference.
-  if (pool == nullptr ||
-      plan->num_channels() + plan->num_grid_channels() == 0) {
-    PhaseTimesScope phase_scope(plan, &span);
-    ExecuteSerial(source, plan);
-    return;
-  }
-  if (source.SupportsRangeReaders() && source.NumTuples() > 0) {
+  // larger pool's; only the serial scan is the unsharded reference.
+  if (pool != nullptr && source.SupportsRangeReaders() &&
+      source.NumTuples() > 0 &&
+      plan->num_channels() + plan->num_grid_channels() > 0) {
     const int num_shards = RowShardCount(source.NumTuples());
     span.AddAttribute("shards", static_cast<double>(num_shards));
     ExecuteRowSharded(source, plan, *pool, num_shards, span.id());
     return;
   }
-  // Channels accumulate concurrently on the shared plan here, so a phase
-  // sink (unsynchronized by contract) cannot be attached.
-  ExecuteChannelParallel(source, plan, *pool);
+  PhaseTimesScope phase_scope(plan, &span);
+  ExecuteSerial(source, plan);
 }
 
 }  // namespace optrules::bucketing

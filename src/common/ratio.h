@@ -3,8 +3,8 @@
 // Confidence and support thresholds enter the optimized-rule algorithms in
 // comparisons like `sum(v) / sum(u) >= theta`. Representing theta as an
 // int64 fraction lets every comparison be carried out in 128-bit integer
-// arithmetic, making the core algorithms exact (see DESIGN.md, "Numeric
-// exactness contract").
+// arithmetic, making the core algorithms exact: a rule is accepted or
+// rejected by integer counts alone, never by floating-point rounding.
 
 #ifndef OPTRULES_COMMON_RATIO_H_
 #define OPTRULES_COMMON_RATIO_H_

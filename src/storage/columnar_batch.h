@@ -1,16 +1,12 @@
-// Columnar batch execution core.
+// Columnar batch execution core: the one data-access API.
 //
-// The seed pipeline scanned tables one tuple at a time through a virtual
-// TupleStream::Next() call per row; the counting kernels therefore paid a
-// dispatch + copy per tuple and rescanned the table once per numeric
-// attribute. ColumnarBatch moves the scan granularity to fixed-capacity
-// blocks of whole columns: producers hand out batches of numeric column
-// slices plus Boolean byte-column slices, and the kernels iterate tight
-// span loops with one virtual call per *batch*. In-memory relations serve
-// zero-copy views into their columns; disk-resident PagedFiles serve
+// Every scan -- sampling, sketching, sorting and counting -- reads fixed-
+// capacity blocks of whole columns: producers hand out batches of numeric
+// column slices plus Boolean byte-column slices, and consumers iterate
+// tight span loops with one virtual call per *batch*. In-memory relations
+// serve zero-copy views into their columns; disk-resident PagedFiles serve
 // column slices pointing straight into pinned BufferPool page frames (zero
-// transpose); any legacy TupleStream can be adapted. All feed the same hot
-// loop (bucketing::MultiCountPlan).
+// transpose). Both feed the same hot loop (bucketing::MultiCountPlan).
 
 #ifndef OPTRULES_STORAGE_COLUMNAR_BATCH_H_
 #define OPTRULES_STORAGE_COLUMNAR_BATCH_H_
@@ -28,7 +24,6 @@
 #include "storage/paged_file.h"
 #include "storage/relation.h"
 #include "storage/scan_prune.h"
-#include "storage/tuple_stream.h"
 
 namespace optrules::storage {
 
@@ -260,26 +255,6 @@ class PagedFileBatchSource : public BatchSource {
   std::atomic<int64_t> cache_hits_{0};
   std::atomic<int64_t> cache_misses_{0};
   std::atomic<int64_t> pages_skipped_{0};
-};
-
-/// Adapter from any legacy TupleStream to the batch API. The stream is
-/// borrowed and rewound on every CreateReader(); only one reader may be
-/// active at a time (no range readers).
-class TupleStreamBatchSource : public BatchSource {
- public:
-  explicit TupleStreamBatchSource(TupleStream* stream,
-                                  int64_t batch_rows = kDefaultBatchRows);
-
-  int num_numeric() const override { return stream_->num_numeric(); }
-  int num_boolean() const override { return stream_->num_boolean(); }
-  int64_t NumTuples() const override { return stream_->NumTuples(); }
-
- protected:
-  std::unique_ptr<BatchReader> DoCreateReader() override;
-
- private:
-  TupleStream* stream_;
-  int64_t batch_rows_;
 };
 
 }  // namespace optrules::storage

@@ -1,10 +1,12 @@
 #include "storage/external_sort.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <queue>
+#include <string>
 #include <vector>
 
 #include "common/logging.h"
@@ -19,15 +21,28 @@ double KeyAt(const uint8_t* record, size_t key_offset) {
   return key;
 }
 
-/// Comparator: double key first, full record bytes as tie-break.
+/// Comparator: double key first (NaN keys after every other key, so the
+/// order stays a strict weak order), full record bytes as tie-break.
 struct RecordLess {
   size_t record_bytes;
   size_t key_offset;
   bool operator()(const uint8_t* a, const uint8_t* b) const {
     const double ka = KeyAt(a, key_offset);
     const double kb = KeyAt(b, key_offset);
-    if (ka != kb) return ka < kb;
+    const bool a_nan = std::isnan(ka);
+    const bool b_nan = std::isnan(kb);
+    if (a_nan != b_nan) return b_nan;
+    if (!a_nan && ka != kb) return ka < kb;
     return std::memcmp(a, b, record_bytes) < 0;
+  }
+};
+
+/// Run file paths, removed on scope exit so that no return path --
+/// success or any error after a run was created -- leaves one behind.
+struct RunFiles {
+  std::vector<std::string> paths;
+  ~RunFiles() {
+    for (const std::string& path : paths) std::remove(path.c_str());
   }
 };
 
@@ -112,7 +127,9 @@ Result<ExternalSortStats> ExternalSortRecords(
       std::max<size_t>(1, options.memory_budget_bytes / options.record_bytes);
   std::vector<uint8_t> chunk(records_per_run * options.record_bytes);
   std::vector<const uint8_t*> pointers;
-  std::vector<std::string> run_paths;
+  // Declared before the merge readers, so the readers close their run
+  // files before the files are removed.
+  RunFiles runs;
   int64_t total_records = 0;
 
   const RecordLess less{options.record_bytes, options.key_offset};
@@ -128,7 +145,7 @@ Result<ExternalSortStats> ExternalSortRecords(
     std::sort(pointers.begin(), pointers.end(), less);
 
     const std::string run_path = options.temp_dir + "/optrules_run_" +
-                                 std::to_string(run_paths.size()) + "_" +
+                                 std::to_string(runs.paths.size()) + "_" +
                                  std::to_string(
                                      reinterpret_cast<uintptr_t>(&chunk)) +
                                  ".tmp";
@@ -137,6 +154,7 @@ Result<ExternalSortStats> ExternalSortRecords(
     if (run.f == nullptr) {
       return Status::IoError("cannot create run file: " + run_path);
     }
+    runs.paths.push_back(run_path);
     for (const uint8_t* rec : pointers) {
       if (std::fwrite(rec, 1, options.record_bytes, run.f) !=
           options.record_bytes) {
@@ -146,8 +164,8 @@ Result<ExternalSortStats> ExternalSortRecords(
     if (std::fclose(run.release()) != 0) {
       return Status::IoError("run close failed: " + run_path);
     }
-    run_paths.push_back(run_path);
   }
+  const std::vector<std::string>& run_paths = runs.paths;
 
   // Phase 2: k-way merge into the output.
   File output;
@@ -193,10 +211,6 @@ Result<ExternalSortStats> ExternalSortRecords(
   }
   if (std::fclose(output.release()) != 0) {
     return Status::IoError("output close failed: " + output_path);
-  }
-  readers.clear();
-  for (const std::string& run_path : run_paths) {
-    std::remove(run_path.c_str());
   }
 
   ExternalSortStats stats;

@@ -3,13 +3,15 @@
 // Substrate for the "Naive Sort" and "Vertical Split Sort" baselines of
 // Figure 9: sorting a disk-resident table by one numeric attribute under a
 // bounded memory budget. Records are fixed-width byte strings compared by a
-// little-endian IEEE double at a fixed offset (ties broken by memcmp of the
-// whole record, making the sort deterministic).
+// little-endian IEEE double at a fixed offset (NaN keys after all others;
+// ties broken by memcmp of the whole record, making the sort
+// deterministic). Run files live in the temp dir only while the sort runs:
+// every return, error or not, removes them.
 //
 // Input comes either from a file of back-to-back records (the classic
 // path) or from any RecordSource -- which is how a columnar PagedFile is
 // sorted without first being rewritten as a row-major temporary: the
-// bucketizer streams pages and packs rows straight into the run
+// bucketizer scans batches and packs rows straight into the run
 // generator. The output is always a headerless file of sorted records.
 
 #ifndef OPTRULES_STORAGE_EXTERNAL_SORT_H_

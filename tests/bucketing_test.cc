@@ -4,9 +4,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <numeric>
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -19,7 +21,7 @@
 #include "bucketing/sort_bucketizer.h"
 #include "common/rng.h"
 #include "storage/paged_file.h"
-#include "storage/tuple_stream.h"
+#include "storage/columnar_batch.h"
 
 namespace optrules::bucketing {
 namespace {
@@ -148,9 +150,68 @@ TEST(SamplerTest, EmptyInputYieldsSingleBucket) {
   EXPECT_EQ(b.num_buckets(), 1);
 }
 
-TEST(SamplerTest, StreamSamplerMatchesColumnSampler) {
-  // Both paths should produce *almost equi-depth* buckets; they need not be
-  // identical (different sampling designs), but both must bound deviation.
+// --------------------------------------------------- reservoir sampler ----
+
+TEST(ReservoirSamplerTest, FewerValuesThanCapacityKeepsThemAll) {
+  // With every value retained the sample is the whole input, so any seed
+  // plans the exact equi-depth cuts of the input.
+  const std::vector<double> values = RandomValues(300, 30);
+  std::vector<double> sorted = values;
+  std::sort(sorted.begin(), sorted.end());
+  const BucketBoundaries exact = BucketBoundaries::FromSortedValues(sorted, 7);
+  for (const uint64_t seed : {1u, 2u, 3u}) {
+    ReservoirSampler reservoir(400);
+    Rng rng(seed);
+    for (const double v : values) reservoir.Add(v, rng);
+    EXPECT_EQ(reservoir.TakeBoundaries(7).cut_points(), exact.cut_points())
+        << seed;
+  }
+}
+
+TEST(ReservoirSamplerTest, SampleNeverExceedsCapacity) {
+  // Every cut point is a sampled value, so a sample of distinct values
+  // can never yield more distinct cuts than it holds values.
+  constexpr int64_t kCapacity = 50;
+  for (const int64_t fed : {int64_t{49}, kCapacity, int64_t{51},
+                            int64_t{10000}}) {
+    ReservoirSampler reservoir(kCapacity);
+    Rng rng(31);
+    for (const double v : RandomValues(fed, 32)) reservoir.Add(v, rng);
+    const BucketBoundaries b = reservoir.TakeBoundaries(1000);
+    const std::set<double> distinct(b.cut_points().begin(),
+                                    b.cut_points().end());
+    EXPECT_LE(static_cast<int64_t>(distinct.size()), kCapacity) << fed;
+    // Ranks of a full sample: 0 .. S-2, one distinct cut each.
+    EXPECT_EQ(static_cast<int64_t>(distinct.size()),
+              std::min(fed, kCapacity) - 1)
+        << fed;
+  }
+}
+
+TEST(ReservoirSamplerTest, NeverFedSamplerYieldsSingleBucket) {
+  ReservoirSampler reservoir(16);
+  EXPECT_TRUE(reservoir.empty());
+  const BucketBoundaries b = reservoir.TakeBoundaries(16);
+  EXPECT_EQ(b.num_buckets(), 1);
+  EXPECT_EQ(b.Locate(-1e308), 0);
+  EXPECT_EQ(b.Locate(1e308), 0);
+}
+
+TEST(ReservoirSamplerTest, FixedSeedIsDeterministic) {
+  const std::vector<double> values = RandomValues(20000, 33);
+  const auto plan = [&](uint64_t seed) {
+    ReservoirSampler reservoir(400);
+    Rng rng(seed);
+    for (const double v : values) reservoir.Add(v, rng);
+    return reservoir.TakeBoundaries(10).cut_points();
+  };
+  EXPECT_EQ(plan(34), plan(34));
+  EXPECT_NE(plan(34), plan(35));
+}
+
+TEST(ReservoirSamplerTest, BatchScanDepthWithinHundredPercent) {
+  // One sequential batch scan into the reservoir must produce *almost
+  // equi-depth* buckets: every depth within +-100% of N/M.
   storage::Relation relation(storage::Schema::Synthetic(1, 1));
   Rng data_rng(6);
   for (int i = 0; i < 50000; ++i) {
@@ -161,10 +222,16 @@ TEST(SamplerTest, StreamSamplerMatchesColumnSampler) {
   }
   SamplerOptions options;
   options.num_buckets = 100;
-  storage::RelationTupleStream stream(&relation);
+  ReservoirSampler reservoir(options.sample_per_bucket *
+                             options.num_buckets);
   Rng rng(7);
-  const BucketBoundaries b =
-      BuildEquiDepthBoundariesFromStream(stream, 0, options, rng);
+  storage::RelationBatchSource source(&relation, 1000);
+  auto reader = source.CreateReader();
+  storage::ColumnarBatch batch;
+  while (reader->Next(&batch)) {
+    for (const double v : batch.numeric(0)) reservoir.Add(v, rng);
+  }
+  const BucketBoundaries b = reservoir.TakeBoundaries(options.num_buckets);
   EXPECT_EQ(b.num_buckets(), 100);
   std::vector<int64_t> counts(100, 0);
   for (double v : relation.NumericColumn(0)) {
@@ -273,7 +340,7 @@ TEST(CountingTest, ConditionalCountsRestrictToC1) {
   EXPECT_EQ(counts.total_tuples, 4);
 }
 
-TEST(CountingTest, StreamCountingMatchesColumnCounting) {
+TEST(CountingTest, BatchCountingMatchesColumnCounting) {
   storage::Relation relation(storage::Schema::Synthetic(2, 2));
   Rng rng(13);
   for (int i = 0; i < 3000; ++i) {
@@ -290,11 +357,21 @@ TEST(CountingTest, StreamCountingMatchesColumnCounting) {
                                            &relation.BooleanColumn(1)};
   const BucketCounts columnar =
       CountBuckets(relation.NumericColumn(1), targets, b);
-  storage::RelationTupleStream stream(&relation);
-  const BucketCounts streamed = CountBucketsFromStream(stream, 1, b);
-  EXPECT_EQ(streamed.u, columnar.u);
-  EXPECT_EQ(streamed.v, columnar.v);
-  EXPECT_EQ(streamed.total_tuples, columnar.total_tuples);
+  // The batch path: a one-channel plan over one scan of the relation.
+  MultiCountSpec spec;
+  spec.num_targets = 2;
+  CountChannel channel;
+  channel.column = 1;
+  channel.boundaries = &b;
+  spec.channels.push_back(channel);
+  MultiCountPlan plan(std::move(spec));
+  storage::RelationBatchSource source(&relation, 256);
+  ExecuteMultiCount(source, &plan, nullptr);
+  EXPECT_EQ(source.scans_started(), 1);
+  const BucketCounts& batched = plan.counts(0);
+  EXPECT_EQ(batched.u, columnar.u);
+  EXPECT_EQ(batched.v, columnar.v);
+  EXPECT_EQ(batched.total_tuples, columnar.total_tuples);
 }
 
 TEST(CountingTest, CompactRemovesEmptyBuckets) {
@@ -330,36 +407,6 @@ TEST(CountingTest, BucketSumsAccumulateTarget) {
   ASSERT_EQ(sparse.num_buckets(), 1);
   EXPECT_DOUBLE_EQ(sparse.sum[0], 2.5);
 }
-
-// ------------------------------------------------------------ parallel ----
-
-class ParallelCountTest : public testing::TestWithParam<int> {};
-
-TEST_P(ParallelCountTest, MatchesSerialForAnyThreadCount) {
-  const int threads = GetParam();
-  const std::vector<double> values = RandomValues(10007, 14);
-  Rng rng(15);
-  std::vector<uint8_t> t1(values.size());
-  for (auto& t : t1) t = rng.NextBernoulli(0.25) ? 1 : 0;
-  const BucketBoundaries b =
-      BucketBoundaries::FromCutPoints({100, 200, 300, 400, 500});
-  const std::vector<uint8_t>* targets[] = {&t1};
-  const BucketCounts serial = CountBuckets(values, targets, b);
-  const BucketCounts parallel =
-      ParallelCountBuckets(values, targets, b, threads);
-  EXPECT_EQ(parallel.u, serial.u);
-  EXPECT_EQ(parallel.v, serial.v);
-  EXPECT_EQ(parallel.total_tuples, serial.total_tuples);
-  for (int i = 0; i < serial.num_buckets(); ++i) {
-    EXPECT_DOUBLE_EQ(parallel.min_value[static_cast<size_t>(i)],
-                     serial.min_value[static_cast<size_t>(i)]);
-    EXPECT_DOUBLE_EQ(parallel.max_value[static_cast<size_t>(i)],
-                     serial.max_value[static_cast<size_t>(i)]);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Threads, ParallelCountTest,
-                         testing::Values(1, 2, 3, 4, 8));
 
 // ------------------------------------------------- sort-based on disk ----
 
@@ -453,6 +500,53 @@ TEST(SortBucketizerFileTest, TruncatedTableIsCorruption) {
   std::remove(table.c_str());
   std::remove((testing::TempDir() + "/trunc.sorted").c_str());
   std::remove((testing::TempDir() + "/trunc.split").c_str());
+}
+
+std::vector<uint64_t> CutBits(const BucketBoundaries& b) {
+  std::vector<uint64_t> bits;
+  for (const double cut : b.cut_points()) {
+    bits.push_back(std::bit_cast<uint64_t>(cut));
+  }
+  return bits;
+}
+
+TEST(SortBucketizerFileTest, NanAndTiesMatchExactBoundariesBitForBit) {
+  // NaN belongs to no bucket: both disk bucketizers skip it and rank over
+  // the finite values, exactly like the in-memory sort.
+  const double nan = std::nan("");
+  storage::Relation relation(storage::Schema::Synthetic(4, 1));
+  Rng rng(17);
+  for (int i = 0; i < 5000; ++i) {
+    const double numeric[] = {
+        rng.NextUniform(-50.0, 50.0),                            // NaN-free
+        i % 3 == 0 ? nan : rng.NextGaussian() * 10.0,            // NaN-laden
+        nan,                                                     // all-NaN
+        static_cast<double>(rng.NextBounded(3)) * 0.25};         // heavy ties
+    const uint8_t boolean[] = {static_cast<uint8_t>(i % 2)};
+    relation.AppendRow(numeric, boolean);
+  }
+  const std::string table = testing::TempDir() + "/nan_ties.optr";
+  ASSERT_TRUE(storage::WriteRelationToFile(relation, table).ok());
+  for (int attr = 0; attr < 4; ++attr) {
+    for (const int buckets : {8, 50}) {
+      const std::vector<uint64_t> expected = CutBits(
+          ExactEquiDepthBoundaries(relation.NumericColumn(attr), buckets));
+      Result<BucketBoundaries> naive = NaiveSortBoundariesFromFile(
+          table, attr, buckets, testing::TempDir() + "/nan_sorted.optr",
+          1 << 14, testing::TempDir());
+      ASSERT_TRUE(naive.ok()) << attr;
+      EXPECT_EQ(CutBits(naive.value()), expected) << attr << " " << buckets;
+      Result<BucketBoundaries> vertical = VerticalSplitSortBoundariesFromFile(
+          table, attr, buckets, testing::TempDir() + "/nan_split.bin",
+          1 << 14, testing::TempDir());
+      ASSERT_TRUE(vertical.ok()) << attr;
+      EXPECT_EQ(CutBits(vertical.value()), expected)
+          << attr << " " << buckets;
+    }
+  }
+  std::remove(table.c_str());
+  std::remove((testing::TempDir() + "/nan_sorted.optr").c_str());
+  std::remove((testing::TempDir() + "/nan_split.bin").c_str());
 }
 
 // -------------------------------------------------------- error bounds ----

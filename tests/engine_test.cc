@@ -2,8 +2,10 @@
 // multi-pair counting scan, and the MiningEngine's equivalence with the
 // legacy per-attribute Miner.
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <limits>
 
 #include <gtest/gtest.h>
@@ -14,10 +16,10 @@
 #include "datagen/bank.h"
 #include "datagen/retail.h"
 #include "datagen/table_generator.h"
+#include "dist/partitioned_table.h"
 #include "rules/miner.h"
 #include "storage/columnar_batch.h"
 #include "storage/paged_file.h"
-#include "storage/tuple_stream.h"
 
 namespace optrules::rules {
 namespace {
@@ -56,6 +58,11 @@ TEST(BatchSourceTest, RelationBatchesCoverAllRowsInOrder) {
   }
   EXPECT_EQ(rows, relation.NumRows());
   EXPECT_EQ(source.scans_started(), 1);
+  // Every reader is a new scan from the first row.
+  reader = source.CreateReader();
+  ASSERT_TRUE(reader->Next(&batch));
+  EXPECT_EQ(batch.numeric(2)[0], relation.NumericValue(0, 2));
+  EXPECT_EQ(source.scans_started(), 2);
 }
 
 TEST(BatchSourceTest, PagedFileBatchesMatchRelationBatches) {
@@ -84,27 +91,6 @@ TEST(BatchSourceTest, PagedFileBatchesMatchRelationBatches) {
   }
   EXPECT_EQ(row, relation.NumRows());
   std::remove(path.c_str());
-}
-
-TEST(BatchSourceTest, TupleStreamAdapterMatchesRelation) {
-  const storage::Relation relation = SmallRelation(3001, 3);
-  storage::RelationTupleStream stream(&relation);
-  storage::TupleStreamBatchSource source(&stream, 128);
-  auto reader = source.CreateReader();
-  storage::ColumnarBatch batch;
-  int64_t row = 0;
-  while (reader->Next(&batch)) {
-    for (int64_t r = 0; r < batch.num_rows(); ++r, ++row) {
-      EXPECT_EQ(batch.numeric(2)[static_cast<size_t>(r)],
-                relation.NumericValue(row, 2));
-    }
-  }
-  EXPECT_EQ(row, relation.NumRows());
-  // A second reader rewinds the underlying stream.
-  auto reader2 = source.CreateReader();
-  ASSERT_TRUE(reader2->Next(&batch));
-  EXPECT_EQ(batch.numeric(0)[0], relation.NumericValue(0, 0));
-  EXPECT_EQ(source.scans_started(), 2);
 }
 
 // -------------------------------------------------- multi-count kernel ----
@@ -144,6 +130,22 @@ TEST(MultiCountTest, PlanMatchesPerAttributeCountBuckets) {
   }
 }
 
+std::vector<uint64_t> Bits(const std::vector<double>& values) {
+  std::vector<uint64_t> bits;
+  for (const double v : values) bits.push_back(std::bit_cast<uint64_t>(v));
+  return bits;
+}
+
+/// u, v, N, and min/max bit for bit (empty buckets hold NaN on both sides).
+void ExpectSameCounts(const BucketCounts& actual, const BucketCounts& expected,
+                      const std::string& context) {
+  EXPECT_EQ(actual.u, expected.u) << context;
+  EXPECT_EQ(actual.v, expected.v) << context;
+  EXPECT_EQ(actual.total_tuples, expected.total_tuples) << context;
+  EXPECT_EQ(Bits(actual.min_value), Bits(expected.min_value)) << context;
+  EXPECT_EQ(Bits(actual.max_value), Bits(expected.max_value)) << context;
+}
+
 TEST(MultiCountTest, ShardedExecutionIsBitIdenticalAndOneScan) {
   const storage::Relation relation = SmallRelation(30013, 5);
   std::vector<BucketBoundaries> boundaries;
@@ -159,25 +161,24 @@ TEST(MultiCountTest, ShardedExecutionIsBitIdenticalAndOneScan) {
   bucketing::ExecuteMultiCount(serial_source, &serial, nullptr);
   EXPECT_EQ(serial_source.scans_started(), 1);
 
-  for (const int pool_size : {2, 3, 8}) {
+  for (const int pool_size : {1, 2, 3, 4, 8}) {
     ThreadPool pool(pool_size);
     storage::RelationBatchSource source(&relation, 1024);
     MultiCountPlan parallel(bounds, 2);
     bucketing::ExecuteMultiCount(source, &parallel, &pool);
     EXPECT_EQ(source.scans_started(), 1) << pool_size;
     for (int a = 0; a < 3; ++a) {
-      EXPECT_EQ(parallel.counts(a).u, serial.counts(a).u) << pool_size;
-      EXPECT_EQ(parallel.counts(a).v, serial.counts(a).v) << pool_size;
-      EXPECT_EQ(parallel.counts(a).total_tuples,
-                serial.counts(a).total_tuples);
+      ExpectSameCounts(parallel.counts(a), serial.counts(a),
+                       "pool " + std::to_string(pool_size));
     }
   }
 }
 
-TEST(MultiCountTest, AttributeParallelPathMatchesSerial) {
-  // TupleStreamBatchSource has no range readers, so the pooled schedule
-  // fans attributes out per batch; results must still be bit-identical.
-  const storage::Relation relation = SmallRelation(8009, 6);
+TEST(MultiCountTest, PooledScanMatchesSerialOnEverySource) {
+  // A range-capable source is row-sharded over the pool; a source without
+  // range readers (a partitioned table) is scanned serially. Both must
+  // reproduce the serial in-memory scan bit for bit in ONE scan.
+  const storage::Relation relation = SmallRelation(20011, 6);
   std::vector<BucketBoundaries> boundaries;
   std::vector<const BucketBoundaries*> bounds;
   for (int a = 0; a < 3; ++a) {
@@ -185,62 +186,32 @@ TEST(MultiCountTest, AttributeParallelPathMatchesSerial) {
   }
   for (const auto& b : boundaries) bounds.push_back(&b);
 
-  storage::RelationTupleStream serial_stream(&relation);
-  storage::TupleStreamBatchSource serial_source(&serial_stream, 512);
+  storage::RelationBatchSource serial_source(&relation, 512);
   MultiCountPlan serial(bounds, 2);
   bucketing::ExecuteMultiCount(serial_source, &serial, nullptr);
 
-  storage::RelationTupleStream stream(&relation);
-  storage::TupleStreamBatchSource source(&stream, 512);
+  const std::string dir = testing::TempDir() + "/pooled_partitioned";
+  std::filesystem::remove_all(dir);
+  dist::PartitionOptions options;
+  options.num_partitions = 3;
+  Result<dist::PartitionedTable> table =
+      dist::PartitionRelation(relation, dir, options);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  storage::RelationBatchSource relation_source(&relation, 512);
+  dist::PartitionedTableBatchSource partitioned_source(&table.value(), 512);
   ThreadPool pool(4);
-  MultiCountPlan parallel(bounds, 2);
-  bucketing::ExecuteMultiCount(source, &parallel, &pool);
-  EXPECT_EQ(source.scans_started(), 1);
-  for (int a = 0; a < 3; ++a) {
-    EXPECT_EQ(parallel.counts(a).u, serial.counts(a).u);
-    EXPECT_EQ(parallel.counts(a).v, serial.counts(a).v);
-  }
-}
-
-// ----------------------------------------------- parallel determinism ----
-
-TEST(ParallelCountTest, DeterministicAcrossThreadCounts) {
-  const storage::Relation relation = SmallRelation(50021, 7);
-  const BucketBoundaries boundaries =
-      BucketBoundaries::FromCutPoints({1e5, 2e5, 4e5, 6e5, 8e5, 9.5e5});
-  std::vector<const std::vector<uint8_t>*> targets = {
-      &relation.BooleanColumn(0), &relation.BooleanColumn(1)};
-
-  const BucketCounts one = bucketing::ParallelCountBuckets(
-      relation.NumericColumn(0), targets, boundaries, 1);
-  for (const int threads : {2, 8}) {
-    const BucketCounts counts = bucketing::ParallelCountBuckets(
-        relation.NumericColumn(0), targets, boundaries, threads);
-    EXPECT_EQ(counts.u, one.u) << threads;
-    EXPECT_EQ(counts.v, one.v) << threads;
-    EXPECT_EQ(counts.total_tuples, one.total_tuples) << threads;
-    for (int b = 0; b < one.num_buckets(); ++b) {
-      const auto bi = static_cast<size_t>(b);
-      if (one.u[bi] == 0) continue;
-      EXPECT_DOUBLE_EQ(counts.min_value[bi], one.min_value[bi]);
-      EXPECT_DOUBLE_EQ(counts.max_value[bi], one.max_value[bi]);
+  for (storage::BatchSource* source :
+       {static_cast<storage::BatchSource*>(&relation_source),
+        static_cast<storage::BatchSource*>(&partitioned_source)}) {
+    MultiCountPlan parallel(bounds, 2);
+    bucketing::ExecuteMultiCount(*source, &parallel, &pool);
+    EXPECT_EQ(source->scans_started(), 1);
+    for (int a = 0; a < 3; ++a) {
+      ExpectSameCounts(parallel.counts(a), serial.counts(a),
+                       source->SupportsRangeReaders() ? "sharded" : "serial");
     }
   }
-}
-
-TEST(ParallelCountTest, ExplicitPoolOverloadMatches) {
-  const storage::Relation relation = SmallRelation(9001, 8);
-  const BucketBoundaries boundaries =
-      BucketBoundaries::FromCutPoints({5e5});
-  std::vector<const std::vector<uint8_t>*> targets = {
-      &relation.BooleanColumn(1)};
-  ThreadPool pool(3);
-  const BucketCounts pooled = bucketing::ParallelCountBuckets(
-      relation.NumericColumn(1), targets, boundaries, 5, pool);
-  const BucketCounts serial = bucketing::CountBuckets(
-      relation.NumericColumn(1), relation.BooleanColumn(1), boundaries);
-  EXPECT_EQ(pooled.u, serial.u);
-  EXPECT_EQ(pooled.v, serial.v);
+  std::filesystem::remove_all(dir);
 }
 
 // -------------------------------------------------------- NaN guards ----

@@ -3,7 +3,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,8 +13,9 @@
 #include "bucketing/gk_sketch.h"
 #include "common/rng.h"
 #include "datagen/distributions.h"
+#include "storage/columnar_batch.h"
+#include "storage/paged_file.h"
 #include "storage/relation.h"
-#include "storage/tuple_stream.h"
 
 namespace optrules::bucketing {
 namespace {
@@ -143,7 +146,7 @@ TEST(GkBucketizerTest, EmptyInputSingleBucket) {
       1);
 }
 
-TEST(GkBucketizerTest, StreamMatchesColumnVariant) {
+TEST(GkBucketizerTest, PagedBatchScanMatchesColumnVariant) {
   storage::Relation relation(storage::Schema::Synthetic(1, 1));
   Rng rng(8);
   for (int i = 0; i < 20000; ++i) {
@@ -154,11 +157,24 @@ TEST(GkBucketizerTest, StreamMatchesColumnVariant) {
   }
   const BucketBoundaries from_column =
       BuildEquiDepthBoundariesGk(relation.NumericColumn(0), 50, 0.005);
-  storage::RelationTupleStream stream(&relation);
-  const BucketBoundaries from_stream =
-      BuildEquiDepthBoundariesGkFromStream(stream, 0, 50, 0.005);
+  // The out-of-core path: one batch scan of the table on disk.
+  const std::string path = testing::TempDir() + "/gk_batches.optr";
+  storage::PagedFileWriterOptions options;
+  options.rows_per_page = 1000;  // several pages
+  ASSERT_TRUE(storage::WriteRelationToFile(relation, path, options).ok());
+  auto source_or = storage::PagedFileBatchSource::Open(path, 333);
+  ASSERT_TRUE(source_or.ok());
+  GkQuantileSketch sketch(0.005);
+  auto reader = source_or.value()->CreateReader();
+  storage::ColumnarBatch batch;
+  while (reader->Next(&batch)) {
+    for (const double v : batch.numeric(0)) sketch.Add(v);
+  }
+  reader.reset();
+  const BucketBoundaries from_batches = BoundariesFromGkSketch(sketch, 50);
   // Deterministic algorithm, same input order: identical cut points.
-  EXPECT_EQ(from_column.cut_points(), from_stream.cut_points());
+  EXPECT_EQ(from_column.cut_points(), from_batches.cut_points());
+  std::remove(path.c_str());
 }
 
 TEST(GkBucketizerTest, DeterministicUnlikeSampling) {

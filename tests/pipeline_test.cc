@@ -1,5 +1,5 @@
 // End-to-end pipeline tests crossing module boundaries that the per-module
-// suites don't: CSV -> Miner, PagedFile -> streaming bucketizer -> rules,
+// suites don't: CSV -> Miner, PagedFile -> batch bucketizer -> rules,
 // report generation from a full sweep, and failure injection on truncated
 // files.
 
@@ -11,6 +11,7 @@
 
 #include "bucketing/counting.h"
 #include "bucketing/equidepth_sampler.h"
+#include "bucketing/parallel_count.h"
 #include "common/ratio.h"
 #include "datagen/table_generator.h"
 #include "report/report.h"
@@ -20,7 +21,6 @@
 #include "storage/columnar_batch.h"
 #include "storage/csv.h"
 #include "storage/paged_file.h"
-#include "storage/tuple_stream.h"
 
 namespace optrules {
 namespace {
@@ -67,27 +67,36 @@ TEST(PipelineTest, CsvRoundTripPreservesMinedRules) {
 }
 
 TEST(PipelineTest, DiskPipelineMatchesInMemoryPipeline) {
-  // The out-of-core path (file stream -> reservoir sampler -> streaming
-  // counting -> O(M) rules) must find a rule statistically equivalent to
-  // the in-memory path on the same data.
+  // The out-of-core path (paged batch scan -> reservoir sampler -> one
+  // counting scan -> O(M) rules) must find a rule statistically equivalent
+  // to the in-memory path on the same data.
   Rng rng(2);
   const storage::Relation table =
       datagen::GenerateTable(PlantedConfig(40000), rng);
   const std::string path = testing::TempDir() + "/pipeline.optr";
   ASSERT_TRUE(storage::WriteRelationToFile(table, path).ok());
 
-  auto stream_or = storage::FileTupleStream::Open(path);
-  ASSERT_TRUE(stream_or.ok());
-  storage::FileTupleStream& stream = *stream_or.value();
+  auto source_or = storage::PagedFileBatchSource::Open(path);
+  ASSERT_TRUE(source_or.ok());
+  storage::PagedFileBatchSource& source = *source_or.value();
   bucketing::SamplerOptions sampler;
   sampler.num_buckets = 100;
+  bucketing::ReservoirSampler reservoir(sampler.sample_per_bucket *
+                                        sampler.num_buckets);
   Rng sample_rng(3);
+  {
+    auto reader = source.CreateReader();
+    storage::ColumnarBatch batch;
+    while (reader->Next(&batch)) {
+      for (const double v : batch.numeric(0)) reservoir.Add(v, sample_rng);
+    }
+  }
   const bucketing::BucketBoundaries boundaries =
-      bucketing::BuildEquiDepthBoundariesFromStream(stream, 0, sampler,
-                                                    sample_rng);
-  stream.Reset();
-  bucketing::BucketCounts counts =
-      bucketing::CountBucketsFromStream(stream, 0, boundaries);
+      reservoir.TakeBoundaries(sampler.num_buckets);
+  bucketing::MultiCountPlan plan({&boundaries}, source.num_boolean());
+  bucketing::ExecuteMultiCount(source, &plan, nullptr);
+  EXPECT_EQ(source.scans_started(), 2);  // one sampling + one counting scan
+  bucketing::BucketCounts counts = plan.TakeCounts(0);
   bucketing::CompactEmptyBuckets(&counts);
   const rules::RangeRule disk_rule = rules::OptimizedConfidenceRule(
       counts.u, counts.v[0], counts.total_tuples,
@@ -131,11 +140,9 @@ TEST(PipelineTest, TruncatedPagedFileIsDetected) {
                 .status()
                 .code(),
             StatusCode::kCorruption);
-  // ...and so do the streaming scanners: the header's row count no longer
-  // fits the file size, so they refuse the file rather than fabricate or
+  // ...and so does the batch scanner: the header's row count no longer
+  // fits the file size, so it refuses the file rather than fabricate or
   // drop rows.
-  EXPECT_EQ(storage::FileTupleStream::Open(path).status().code(),
-            StatusCode::kCorruption);
   EXPECT_EQ(storage::PagedFileBatchSource::Open(path).status().code(),
             StatusCode::kCorruption);
   std::remove(path.c_str());

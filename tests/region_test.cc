@@ -4,6 +4,8 @@
 // BuildGrid reference.
 
 #include <cmath>
+#include <filesystem>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -13,12 +15,12 @@
 #include "bucketing/parallel_count.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "dist/partitioned_table.h"
 #include "region/grid.h"
 #include "region/rectangle.h"
 #include "region/xmonotone.h"
 #include "storage/columnar_batch.h"
 #include "storage/relation.h"
-#include "storage/tuple_stream.h"
 
 namespace optrules::region {
 namespace {
@@ -255,13 +257,14 @@ TEST(GridChannelTest, GridSharesLocatePassWithBaseChannelsAndMerges) {
   }
 }
 
-TEST(GridChannelTest, ChannelParallelScheduleMatchesSerial) {
-  // TupleStreamBatchSource has no range readers, so the pooled executor
-  // fans channels -- grid channels included -- out per batch; grid cells
-  // must come out bit-identical to the serial scan.
+TEST(GridChannelTest, PooledScanMatchesSerialOnEverySource) {
+  // A range-capable source is row-sharded over the pool; a source without
+  // range readers (a partitioned table) is scanned serially. Grid cells
+  // and the 1-D channel must both come out bit-identical to the serial
+  // in-memory scan, in ONE scan.
   storage::Relation relation(storage::Schema::Synthetic(2, 2));
   Rng rng(406);
-  for (int row = 0; row < 4000; ++row) {
+  for (int row = 0; row < 20000; ++row) {
     const std::vector<double> numeric = {rng.NextUniform(0, 50),
                                          rng.NextUniform(0, 50)};
     const std::vector<uint8_t> boolean = {
@@ -287,23 +290,39 @@ TEST(GridChannelTest, ChannelParallelScheduleMatchesSerial) {
     return spec;
   };
 
-  storage::RelationTupleStream serial_stream(&relation);
-  storage::TupleStreamBatchSource serial_source(&serial_stream, 512);
+  storage::RelationBatchSource serial_source(&relation, 512);
   bucketing::MultiCountPlan serial(make_spec());
   bucketing::ExecuteMultiCount(serial_source, &serial, nullptr);
 
-  storage::RelationTupleStream stream(&relation);
-  storage::TupleStreamBatchSource source(&stream, 512);
+  const std::string dir = testing::TempDir() + "/grid_partitioned";
+  std::filesystem::remove_all(dir);
+  dist::PartitionOptions options;
+  options.num_partitions = 3;
+  Result<dist::PartitionedTable> table =
+      dist::PartitionRelation(relation, dir, options);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  storage::RelationBatchSource relation_source(&relation, 512);
+  dist::PartitionedTableBatchSource partitioned_source(&table.value(), 512);
   ThreadPool pool(4);
-  bucketing::MultiCountPlan parallel(make_spec());
-  bucketing::ExecuteMultiCount(source, &parallel, &pool);
-  EXPECT_EQ(source.scans_started(), 1);
-
-  EXPECT_EQ(parallel.grid_counts(0).u, serial.grid_counts(0).u);
-  EXPECT_EQ(parallel.grid_counts(0).v, serial.grid_counts(0).v);
-  EXPECT_EQ(parallel.grid_counts(0).total_tuples,
-            serial.grid_counts(0).total_tuples);
-  EXPECT_EQ(parallel.counts(0).u, serial.counts(0).u);
+  for (storage::BatchSource* source :
+       {static_cast<storage::BatchSource*>(&relation_source),
+        static_cast<storage::BatchSource*>(&partitioned_source)}) {
+    const char* schedule =
+        source->SupportsRangeReaders() ? "sharded" : "serial";
+    bucketing::MultiCountPlan parallel(make_spec());
+    bucketing::ExecuteMultiCount(*source, &parallel, &pool);
+    EXPECT_EQ(source->scans_started(), 1) << schedule;
+    EXPECT_EQ(parallel.grid_counts(0).u, serial.grid_counts(0).u)
+        << schedule;
+    EXPECT_EQ(parallel.grid_counts(0).v, serial.grid_counts(0).v)
+        << schedule;
+    EXPECT_EQ(parallel.grid_counts(0).total_tuples,
+              serial.grid_counts(0).total_tuples)
+        << schedule;
+    EXPECT_EQ(parallel.counts(0).u, serial.counts(0).u) << schedule;
+    EXPECT_EQ(parallel.counts(0).v, serial.counts(0).v) << schedule;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // -------------------------------------------------------- rectangles ----

@@ -1,10 +1,11 @@
-// Tests for PagedFile, tuple streams, and the external merge sort.
+// Tests for PagedFile, batch sources, and the external merge sort.
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <iterator>
 #include <memory>
 #include <span>
@@ -18,7 +19,6 @@
 #include "storage/columnar_batch.h"
 #include "storage/external_sort.h"
 #include "storage/paged_file.h"
-#include "storage/tuple_stream.h"
 
 namespace optrules::storage {
 namespace {
@@ -104,7 +104,10 @@ std::vector<uint8_t> ReadAllBytes(const std::string& path) {
 void WriteAllBytes(const std::string& path, std::span<const uint8_t> bytes) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  // An empty span's data() may be null, which fwrite must never receive.
+  if (!bytes.empty()) {
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  }
   ASSERT_EQ(std::fclose(f), 0);
 }
 
@@ -166,71 +169,6 @@ TEST(PagedFileTest, MissingFileIsIoError) {
 TEST(PagedFileTest, InvalidAttributeCountsRejected) {
   EXPECT_FALSE(
       PagedFileWriter::Create(TempPath("zero.optr"), 0, 0).ok());
-}
-
-TEST(TupleStreamTest, RelationStreamYieldsAllTuples) {
-  const Relation relation = RandomRelation(100, 2, 3, 3);
-  RelationTupleStream stream(&relation);
-  EXPECT_EQ(stream.NumTuples(), 100);
-  EXPECT_EQ(stream.num_numeric(), 2);
-  EXPECT_EQ(stream.num_boolean(), 3);
-  TupleView view;
-  int64_t count = 0;
-  while (stream.Next(&view)) {
-    EXPECT_DOUBLE_EQ(view.numeric[0], relation.NumericValue(count, 0));
-    EXPECT_EQ(view.booleans[2] != 0, relation.BooleanValue(count, 2));
-    ++count;
-  }
-  EXPECT_EQ(count, 100);
-}
-
-TEST(TupleStreamTest, ResetRewinds) {
-  const Relation relation = RandomRelation(10, 1, 1, 4);
-  RelationTupleStream stream(&relation);
-  TupleView view;
-  while (stream.Next(&view)) {
-  }
-  EXPECT_FALSE(stream.Next(&view));
-  stream.Reset();
-  int64_t count = 0;
-  while (stream.Next(&view)) ++count;
-  EXPECT_EQ(count, 10);
-}
-
-TEST(TupleStreamTest, FileStreamMatchesRelationStream) {
-  const std::string path = TempPath("stream.optr");
-  const Relation relation = RandomRelation(1000, 4, 2, 5);
-  // Use a small page size so multiple page refills (and a partial last
-  // page) are exercised.
-  PagedFileWriterOptions options;
-  options.rows_per_page = 64;
-  ASSERT_TRUE(WriteRelationToFile(relation, path, options).ok());
-
-  Result<std::unique_ptr<FileTupleStream>> file_or =
-      FileTupleStream::Open(path);
-  ASSERT_TRUE(file_or.ok());
-  FileTupleStream& file_stream = *file_or.value();
-  RelationTupleStream memory_stream(&relation);
-
-  EXPECT_EQ(file_stream.NumTuples(), memory_stream.NumTuples());
-  TupleView file_view;
-  TupleView memory_view;
-  while (memory_stream.Next(&memory_view)) {
-    ASSERT_TRUE(file_stream.Next(&file_view));
-    for (int c = 0; c < 4; ++c) {
-      EXPECT_DOUBLE_EQ(file_view.numeric[c], memory_view.numeric[c]);
-    }
-    for (int c = 0; c < 2; ++c) {
-      EXPECT_EQ(file_view.booleans[c], memory_view.booleans[c]);
-    }
-  }
-  EXPECT_FALSE(file_stream.Next(&file_view));
-
-  file_stream.Reset();
-  int64_t count = 0;
-  while (file_stream.Next(&file_view)) ++count;
-  EXPECT_EQ(count, 1000);
-  std::remove(path.c_str());
 }
 
 // ------------------------------------------------------ external sort ----
@@ -372,6 +310,67 @@ TEST(ExternalSortTest, PreservesWholeRecords) {
   std::remove(output.c_str());
 }
 
+TEST(ExternalSortTest, NanKeysSortLast) {
+  // NaN keys order after every other key: the comparator stays a strict
+  // weak order, so many small runs still merge into one sorted output.
+  const std::string input = TempPath("nan_in.optr");
+  const std::string output = TempPath("nan_out.optr");
+  Relation relation(Schema::Synthetic(1, 1));
+  Rng rng(9);
+  int64_t nan_rows = 0;
+  for (int i = 0; i < 3000; ++i) {
+    const bool is_nan = i % 4 == 1;
+    nan_rows += is_nan ? 1 : 0;
+    const double row[] = {is_nan ? std::nan("") : rng.NextUniform(-1, 1)};
+    const uint8_t flag = static_cast<uint8_t>(i % 2);
+    relation.AppendRow(row, std::span<const uint8_t>(&flag, 1));
+  }
+  WriteRecords(relation, input);
+  ExternalSortOptions options;
+  options.record_bytes = relation.schema().RowBytes();
+  options.memory_budget_bytes = 9 * 50;  // 50-record runs
+  options.temp_dir = testing::TempDir();
+  ASSERT_TRUE(ExternalSort(input, output, options).ok());
+  const std::vector<double> got =
+      RecordDoubles(output, options.record_bytes, 0);
+  ASSERT_EQ(got.size(), 3000u);
+  const auto finite_end = got.end() - nan_rows;
+  EXPECT_TRUE(std::none_of(got.begin(), finite_end,
+                           [](double v) { return std::isnan(v); }));
+  EXPECT_TRUE(std::is_sorted(got.begin(), finite_end));
+  EXPECT_TRUE(std::all_of(finite_end, got.end(),
+                          [](double v) { return std::isnan(v); }));
+  std::remove(input.c_str());
+  std::remove(output.c_str());
+}
+
+TEST(ExternalSortErrorsTest, NoRunFilesSurviveSuccessOrFailure) {
+  const std::string input = TempPath("runs_in.optr");
+  const std::string temp_dir = TempPath("sort_runs");
+  const std::string missing_dir = TempPath("missing_dir");
+  std::filesystem::remove_all(temp_dir);
+  std::filesystem::remove_all(missing_dir);
+  std::filesystem::create_directories(temp_dir);
+  const Relation relation = RandomRelation(2000, 1, 1, 10);
+  WriteRecords(relation, input);
+  ExternalSortOptions options;
+  options.record_bytes = relation.schema().RowBytes();
+  options.memory_budget_bytes = 9 * 100;  // 20 runs
+  options.temp_dir = temp_dir;
+  // The output cannot be created after every run was written.
+  EXPECT_EQ(ExternalSort(input, missing_dir + "/out", options)
+                .status()
+                .code(),
+            StatusCode::kIoError);
+  EXPECT_TRUE(std::filesystem::is_empty(temp_dir));
+  const std::string output = TempPath("runs_out.optr");
+  ASSERT_TRUE(ExternalSort(input, output, options).ok());
+  EXPECT_TRUE(std::filesystem::is_empty(temp_dir));
+  std::filesystem::remove_all(temp_dir);
+  std::remove(input.c_str());
+  std::remove(output.c_str());
+}
+
 // ----------------------------------------------- paged batch reading ----
 
 /// Numeric values as bit patterns, so comparisons are bit-exact.
@@ -432,6 +431,29 @@ void ExpectRangeMatchesOracle(PagedFileBatchSource& paged,
 /// capacity-0 pool, the no-cache mode) and the process default pool.
 std::vector<BufferPool*> TestPools() {
   return {nullptr, BufferPool::Default()};
+}
+
+TEST(PagedFileBatchSourceTest, EveryReaderRescansTheWholeFile) {
+  const Relation relation = RandomRelation(1000, 4, 2, 5);
+  RelationBatchSource oracle(&relation);
+  const DrainedScan expected = Drain(*oracle.CreateReader());
+  // Small pages, so every scan refills pages and ends on a partial one.
+  for (const uint32_t rows_per_page : {64u, 128u}) {
+    const std::string path =
+        TempPath("rescan_" + std::to_string(rows_per_page) + ".optr");
+    PagedFileWriterOptions options;
+    options.rows_per_page = rows_per_page;
+    ASSERT_TRUE(WriteRelationToFile(relation, path, options).ok());
+    auto source = PagedFileBatchSource::Open(path);
+    ASSERT_TRUE(source.ok());
+    for (int scan = 0; scan < 2; ++scan) {
+      const DrainedScan got = Drain(*source.value()->CreateReader());
+      EXPECT_EQ(got.numeric, expected.numeric) << rows_per_page;
+      EXPECT_EQ(got.boolean, expected.boolean) << rows_per_page;
+    }
+    EXPECT_EQ(source.value()->scans_started(), 2);
+    std::remove(path.c_str());
+  }
 }
 
 TEST(PagedFileBatchSourceTest, OnePageMatchesOracle) {
@@ -710,36 +732,6 @@ TEST(PagedFileV2Test, CorruptDirectoryIsCaughtOnRead) {
                 .status()
                 .code(),
             StatusCode::kCorruption);
-  std::remove(path.c_str());
-}
-
-TEST(PagedFileV2Test, TupleStreamGathersFromColumnRuns) {
-  const std::string path = TempPath("tuples_v2.optr");
-  const Relation relation = RandomRelation(1000, 4, 2, 16);
-  PagedFileWriterOptions options;
-  options.rows_per_page = 128;  // several pages incl. a partial last one
-  ASSERT_TRUE(WriteRelationToFile(relation, path, options).ok());
-  Result<std::unique_ptr<FileTupleStream>> file_or =
-      FileTupleStream::Open(path);
-  ASSERT_TRUE(file_or.ok());
-  FileTupleStream& stream = *file_or.value();
-  RelationTupleStream memory_stream(&relation);
-  TupleView file_view;
-  TupleView memory_view;
-  while (memory_stream.Next(&memory_view)) {
-    ASSERT_TRUE(stream.Next(&file_view));
-    for (int c = 0; c < 4; ++c) {
-      EXPECT_DOUBLE_EQ(file_view.numeric[c], memory_view.numeric[c]);
-    }
-    for (int c = 0; c < 2; ++c) {
-      EXPECT_EQ(file_view.booleans[c], memory_view.booleans[c]);
-    }
-  }
-  EXPECT_FALSE(stream.Next(&file_view));
-  stream.Reset();
-  int64_t count = 0;
-  while (stream.Next(&file_view)) ++count;
-  EXPECT_EQ(count, 1000);
   std::remove(path.c_str());
 }
 
