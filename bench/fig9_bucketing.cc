@@ -4,7 +4,8 @@
 // Task (as in Section 6.1): divide the data into 1000 almost equi-depth
 // buckets with respect to EVERY numeric attribute and count the tuples per
 // bucket for every Boolean attribute. Three methods:
-//   - Algorithm 3.1: reservoir sample + sort sample + one counting scan,
+//   - Algorithm 3.1: sample rows drawn up front, gathered by one scan,
+//     sorted, + one counting scan,
 //   - Naive Sort: external-sort the full 72-byte rows per attribute,
 //   - Vertical Split Sort: project (value, tid) pairs, sort the narrow
 //     file per attribute.
@@ -16,6 +17,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "bucketing/counting.h"
@@ -61,21 +63,18 @@ double RunAlgorithm31(const std::string& table_path) {
   optrules::bucketing::SamplerOptions options;
   options.num_buckets = kBuckets;
   for (int attr = 0; attr < source->num_numeric(); ++attr) {
-    // Steps 1-3: one sequential pass into a reservoir sample.
+    // Steps 1-3: draw the sample rows, gather them in one sequential
+    // pass, sort.
     optrules::Rng rng(100 + static_cast<uint64_t>(attr));
-    optrules::bucketing::ReservoirSampler reservoir(
-        options.sample_per_bucket * options.num_buckets);
-    auto reader = source->CreateReader();
-    optrules::storage::ColumnarBatch batch;
-    while (reader->Next(&batch)) {
-      for (const double value : batch.numeric(attr)) {
-        reservoir.Add(value, rng);
-      }
-    }
-    reader.reset();
+    std::vector<double> sample(static_cast<size_t>(
+        optrules::bucketing::SampleRowCount(options, source->NumTuples())));
+    optrules::bucketing::DrawSampleRows(source->NumTuples(), rng, sample);
+    const optrules::bucketing::SampleSlot slot{attr, sample};
+    optrules::bucketing::GatherSampleValues(*source, {&slot, 1}, nullptr);
     // Step 4: the counting pass.
     CountAttribute(*source, attr,
-                   reservoir.TakeBoundaries(options.num_buckets));
+                   optrules::bucketing::BoundariesFromSample(
+                       sample, options.num_buckets));
   }
   return timer.ElapsedSeconds();
 }

@@ -4,8 +4,8 @@
 // into memory, and is mined through the columnar batch core: a
 // PagedFileBatchSource serves fixed-capacity column blocks, the
 // MiningEngine plans almost equi-depth boundaries for EVERY numeric
-// attribute in one streaming pass (reservoir samples, Algorithm 3.1 steps
-// 1-3), then counts every (numeric, Boolean) attribute pair in ONE shared
+// attribute in one streaming pass (Algorithm 3.1 steps 1-3: sample rows
+// drawn up front, gathered by that pass, sorted), then counts every (numeric, Boolean) attribute pair in ONE shared
 // counting scan (step 4) before the O(M) optimizers run on the tiny
 // bucket arrays (Section 4).
 
@@ -59,7 +59,7 @@ int main() {
   optrules::storage::PagedFileBatchSource& source = *source_or.value();
 
   // One engine session mines ALL 64 attribute pairs: one planning pass
-  // (every attribute's reservoir filled at once) + one counting scan.
+  // (every attribute's sample gathered at once) + one counting scan.
   // Registering a generalized condition (Section 4.3) and an aggregate
   // target (Section 5) up front folds their channels into the SAME scan.
   optrules::rules::MinerOptions options;

@@ -6,11 +6,12 @@
 // 3. Take every (S/M)-th sample value as a cut point.
 // The subsequent counting scan (step 4) lives in bucketing/counting.h.
 //
-// Substitution note: for tables scanned in batches (disk-resident ones
-// included) the sample is drawn by single-pass reservoir sampling instead
-// of with-replacement random access, which avoids random I/O; the
-// resulting without-replacement sample concentrates at least as tightly
-// around the quantiles as the with-replacement sample the paper analyzes.
+// The sample is defined by row indices, not by a pass over the values:
+// because the row count N is known up front, DrawSampleRows draws the S
+// with-replacement rows already in ascending order, and the values at
+// those rows are then read by random access (in memory) or gathered by
+// one sequential scan (bucketing::GatherSampleValues). Both routes pick the
+// same values, so every table layout plans the same boundaries.
 
 #ifndef OPTRULES_BUCKETING_EQUIDEPTH_SAMPLER_H_
 #define OPTRULES_BUCKETING_EQUIDEPTH_SAMPLER_H_
@@ -32,36 +33,32 @@ struct SamplerOptions {
   int64_t sample_per_bucket = 40;
 };
 
-/// Builds approximate equi-depth boundaries from an in-memory column using
-/// with-replacement sampling, exactly as analyzed in Section 3.2.
+/// Size of the sample over a table of `num_rows` rows: min(S, N). A
+/// sample of S >= N rows takes every row once instead, so sampling memory
+/// is bounded by the table whatever the options ask for.
+int64_t SampleRowCount(const SamplerOptions& options, int64_t num_rows);
+
+/// Fills `rows` with rows.size() <= num_rows ascending row indices into a
+/// table of `num_rows` rows, stored as exact integers. When rows.size() ==
+/// num_rows that is every row; otherwise it is a uniform with-replacement
+/// sample drawn directly in sorted order in O(rows.size()) time and no
+/// extra memory (normalized partial sums of exponential spacings; Bentley
+/// & Saxe, "Generating sorted lists of random numbers", ACM TOMS 1980).
+void DrawSampleRows(int64_t num_rows, Rng& rng, std::span<double> rows);
+
+/// Algorithm 3.1 steps 2-3 over gathered sample values: drops NaN values
+/// (they belong to no bucket), sorts, and derives `num_buckets` almost
+/// equi-depth boundaries. An empty sample yields the single all-covering
+/// bucket. Consumes `sample`.
+BucketBoundaries BoundariesFromSample(std::vector<double>& sample,
+                                      int num_buckets);
+
+/// Builds approximate equi-depth boundaries from an in-memory column:
+/// DrawSampleRows + random access + BoundariesFromSample, exactly as
+/// analyzed in Section 3.2.
 BucketBoundaries BuildEquiDepthBoundaries(std::span<const double> values,
                                           const SamplerOptions& options,
                                           Rng& rng);
-
-/// Bounded uniform sample maintained by Vitter's algorithm R: the
-/// single-pass building block behind the MiningEngine's
-/// all-attributes-at-once planning scan.
-class ReservoirSampler {
- public:
-  /// `capacity` is the sample size S (> 0).
-  explicit ReservoirSampler(int64_t capacity);
-
-  /// Offers one value; with `seen` values offered so far, each is
-  /// retained with probability S/seen.
-  void Add(double value, Rng& rng);
-
-  bool empty() const { return sample_.empty(); }
-
-  /// Sorts the sample and derives `num_buckets` almost equi-depth
-  /// boundaries (Algorithm 3.1 steps 2-3); a never-fed sampler yields the
-  /// single all-covering bucket. Consumes the sample.
-  BucketBoundaries TakeBoundaries(int num_buckets);
-
- private:
-  int64_t capacity_;
-  int64_t seen_ = 0;
-  std::vector<double> sample_;
-};
 
 }  // namespace optrules::bucketing
 

@@ -96,19 +96,6 @@ void ExecuteSerial(storage::BatchSource& source, MultiCountPlan* plan) {
   plan->AddSkippedRows(reader->pruned_rows());
 }
 
-/// Number of row shards for a source of `num_tuples` rows. The layout is
-/// a pure function of the row count -- NEVER of the pool size -- so the
-/// partial plans and their shard-order merge are identical no matter how
-/// many workers execute them: even the compensated double sums come out
-/// bit-identical under any pool size. Pools larger than the shard count
-/// idle; pools smaller queue shards.
-int RowShardCount(int64_t num_tuples) {
-  constexpr int64_t kMinRowsPerShard = 8192;
-  constexpr int64_t kMaxRowShards = 32;
-  return static_cast<int>(
-      std::clamp(num_tuples / kMinRowsPerShard, int64_t{1}, kMaxRowShards));
-}
-
 /// Row-sharded execution: each worker scans a contiguous row range with
 /// its own range reader into a private partial plan; partials merge in
 /// shard order. Counts and min/max are bit-identical to serial; per-bucket
@@ -144,7 +131,86 @@ void ExecuteRowSharded(storage::BatchSource& source, MultiCountPlan* plan,
   for (const MultiCountPlan& partial : partials) plan->Merge(partial);
 }
 
+/// Gathers rows [begin, end) from `reader`: positions [first[j], stop[j])
+/// of slot j hold those rows' indices, each overwritten by its value. No
+/// position outside that window is read, so shards can fill one buffer
+/// at once.
+void GatherRange(storage::BatchReader& reader, int64_t begin, int64_t end,
+                 std::span<const SampleSlot> slots,
+                 std::span<const size_t> first, std::span<const size_t> stop) {
+  std::vector<size_t> next(first.begin(), first.end());
+  storage::ColumnarBatch batch;
+  int64_t row = begin;
+  while (reader.Next(&batch)) {
+    const auto batch_end = static_cast<double>(row + batch.num_rows());
+    for (size_t j = 0; j < slots.size(); ++j) {
+      const std::span<const double> column = batch.numeric(slots[j].column);
+      double* values = slots[j].values.data();
+      for (size_t& p = next[j]; p < stop[j] && values[p] < batch_end; ++p) {
+        values[p] = column[static_cast<size_t>(values[p] - row)];
+      }
+    }
+    row += batch.num_rows();
+  }
+  OPTRULES_CHECK(row == end);
+  OPTRULES_CHECK(std::equal(next.begin(), next.end(), stop.begin()));
+}
+
 }  // namespace
+
+int RowShardCount(int64_t num_tuples) {
+  constexpr int64_t kMinRowsPerShard = 8192;
+  constexpr int64_t kMaxRowShards = 32;
+  return static_cast<int>(
+      std::clamp(num_tuples / kMinRowsPerShard, int64_t{1}, kMaxRowShards));
+}
+
+int GatherSampleValues(storage::BatchSource& source,
+                       std::span<const SampleSlot> slots, ThreadPool* pool) {
+  for (const SampleSlot& slot : slots) {
+    OPTRULES_CHECK(0 <= slot.column && slot.column < source.num_numeric());
+  }
+  const int64_t n = source.NumTuples();
+  const bool sharded =
+      pool != nullptr && source.SupportsRangeReaders() && n > 0;
+  const int num_shards = sharded ? RowShardCount(n) : 1;
+  // cuts[k * m + j]: slot j's first position at or past shard k's first
+  // row, all fixed before any shard overwrites a row index with a value.
+  const size_t m = slots.size();
+  std::vector<size_t> cuts((static_cast<size_t>(num_shards) + 1) * m);
+  for (int k = 0; k <= num_shards; ++k) {
+    for (size_t j = 0; j < m; ++j) {
+      const std::span<double> rows = slots[j].values;
+      cuts[static_cast<size_t>(k) * m + j] = static_cast<size_t>(
+          std::lower_bound(rows.begin(), rows.end(),
+                           static_cast<double>(n * k / num_shards)) -
+          rows.begin());
+    }
+  }
+  const auto shard_cuts = [&](int k) {
+    return std::span<const size_t>(cuts).subspan(static_cast<size_t>(k) * m,
+                                                 m);
+  };
+  if (!sharded) {
+    std::unique_ptr<storage::BatchReader> reader = source.CreateReader();
+    GatherRange(*reader, 0, n, slots, shard_cuts(0), shard_cuts(1));
+    return 0;
+  }
+  source.NoteScanStarted();  // the whole sharded pass is ONE logical scan
+  const uint64_t parent_span_id = obs::Tracer::CurrentSpanId();
+  pool->Run(num_shards, [&](int shard) {
+    obs::ScopedParent parent(parent_span_id);
+    obs::Span shard_span("bucketing.plan_shard");
+    shard_span.AddAttribute("shard", static_cast<double>(shard));
+    const int64_t begin = n * shard / num_shards;
+    const int64_t end = n * (shard + 1) / num_shards;
+    std::unique_ptr<storage::BatchReader> reader =
+        source.CreateRangeReader(begin, end);
+    GatherRange(*reader, begin, end, slots, shard_cuts(shard),
+                shard_cuts(shard + 1));
+  });
+  return num_shards;
+}
 
 void ExecuteMultiCount(storage::BatchSource& source, MultiCountPlan* plan,
                        ThreadPool* pool) {

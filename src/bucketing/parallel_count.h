@@ -11,22 +11,28 @@
 #ifndef OPTRULES_BUCKETING_PARALLEL_COUNT_H_
 #define OPTRULES_BUCKETING_PARALLEL_COUNT_H_
 
+#include <span>
+
 #include "bucketing/counting.h"
 #include "common/thread_pool.h"
 #include "storage/columnar_batch.h"
 
 namespace optrules::bucketing {
 
+/// Number of contiguous row shards the pooled passes split a source of
+/// `num_tuples` rows into. The layout is a pure function of the row count
+/// -- NEVER of the pool size -- so partial results and their shard-order
+/// merge are identical no matter how many workers execute them. Pools
+/// larger than the shard count idle; pools smaller queue shards.
+int RowShardCount(int64_t num_tuples);
+
 /// Executes `plan` over exactly one scan of `source`, partitioned over
 /// `pool` (pass nullptr for a serial scan).
 ///
 /// Sources that support range readers (in-memory relations, PagedFiles)
-/// are sharded by rows: each worker accumulates a private partial plan
-/// (built from the same MultiCountSpec) over a contiguous shard and the
-/// partials merge in shard order. The shard layout is a pure function of
-/// the row count -- never of the pool size -- so results are identical
-/// for ANY pool, including a pool of size 1. Other sources are scanned
-/// serially. Either way the u/v counts, grid cells, and min/max are
+/// are sharded by rows (RowShardCount): each worker accumulates a private
+/// partial plan over a contiguous shard and the partials merge in shard
+/// order, identically for ANY pool. Other sources are scanned serially. Either way the u/v counts, grid cells, and min/max are
 /// bit-identical to a serial scan, and exactly one scan is accounted on
 /// `source` (assertable via BatchSource::scans_started()). Per-bucket
 /// double sum channels are Neumaier-compensated and bit-identical across
@@ -40,6 +46,24 @@ namespace optrules::bucketing {
 /// pruned results bit-identical to unpruned ones.
 void ExecuteMultiCount(storage::BatchSource& source, MultiCountPlan* plan,
                        ThreadPool* pool);
+
+/// One column's Algorithm 3.1 sample in a GatherSampleValues pass.
+struct SampleSlot {
+  int column = 0;
+  /// Enters holding ascending row indices as exact integers in
+  /// [0, NumTuples()) (bucketing::DrawSampleRows); leaves holding the
+  /// column's values at those rows, overwritten in place.
+  std::span<double> values;
+};
+
+/// Replaces every slot's row indices with the values at those rows over
+/// exactly one scan of `source`: row-sharded like ExecuteMultiCount when
+/// there is a pool and the source has range readers (one
+/// `bucketing.plan_shard` span per shard, under the caller's current
+/// span), else one serial reader. The values never depend on the path.
+/// Returns the number of shards, 0 for the serial path.
+int GatherSampleValues(storage::BatchSource& source,
+                       std::span<const SampleSlot> slots, ThreadPool* pool);
 
 }  // namespace optrules::bucketing
 

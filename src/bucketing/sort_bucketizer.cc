@@ -6,6 +6,7 @@
 #include <cstring>
 #include <vector>
 
+#include "bucketing/equidepth_sampler.h"
 #include "storage/columnar_batch.h"
 #include "storage/external_sort.h"
 
@@ -144,17 +145,9 @@ Result<BucketBoundaries> CutsFromSortedFile(const std::string& sorted_path,
 
 BucketBoundaries ExactEquiDepthBoundaries(std::span<const double> values,
                                           int num_buckets) {
-  OPTRULES_CHECK(num_buckets >= 1);
-  std::vector<double> sorted;
-  sorted.reserve(values.size());
-  // NaN values belong to no bucket (the repo-wide NaN policy) and violate
-  // std::sort's strict weak ordering; plan the depths over the finite
-  // values only.
-  for (const double value : values) {
-    if (!std::isnan(value)) sorted.push_back(value);
-  }
-  std::sort(sorted.begin(), sorted.end());
-  return BucketBoundaries::FromSortedValues(sorted, num_buckets);
+  // The exact sort is Algorithm 3.1 with every row as the sample.
+  std::vector<double> sample(values.begin(), values.end());
+  return BoundariesFromSample(sample, num_buckets);
 }
 
 Result<BucketBoundaries> NaiveSortBoundariesFromFile(

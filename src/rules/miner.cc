@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <utility>
 
 #include "bucketing/equidepth_sampler.h"
 #include "bucketing/gk_sketch.h"
 #include "bucketing/parallel_count.h"
-#include "bucketing/sort_bucketizer.h"
 #include "common/ratio.h"
 #include "common/rng.h"
 #include "obs/trace.h"
@@ -220,8 +220,7 @@ std::string MinedAggregateRange::ToString() const {
 
 MiningEngine::MiningEngine(const storage::Relation* relation,
                            MinerOptions options, ThreadPool* pool)
-    : relation_(relation),
-      schema_(relation != nullptr ? relation->schema() : storage::Schema()),
+    : schema_(relation != nullptr ? relation->schema() : storage::Schema()),
       options_(options),
       pool_(pool) {
   OPTRULES_CHECK(relation != nullptr);
@@ -335,187 +334,102 @@ void MiningEngine::PlanBoundarySets(
     return i;
   };
 
-  if (relation_ != nullptr) {
-    // In-memory fast path: plan from the columns directly, with the same
-    // per-attribute salts and seed offsets as the legacy Miner
-    // (bit-identical boundaries). The deterministic bucketizers ignore
-    // seeds, so sets sharing a bucket count share boundaries and are
-    // planned once.
-    for (size_t i = 0; i < sets; ++i) {
-      if (options_.bucketizer != Bucketizer::kSampling) {
-        const size_t same = first_copyable(i);
-        if (same != i) {
-          *out[i] = *out[same];
-          continue;
-        }
-      }
-      bucketing::BoundaryPlan plan = ToBoundaryPlan(options_);
-      plan.seed += requests[i].seed_offset;
-      plan.num_buckets = requests[i].num_buckets;
-      for (int a = 0; a < num_numeric; ++a) {
-        out[i]->push_back(
-            needs(i, a)
-                ? bucketing::BuildBoundaries(relation_->NumericColumn(a),
-                                             plan, AttributeSalt(a))
-                : placeholder());
-      }
-    }
-    return;
-  }
-
-  // Generic path: ONE streaming pass plans every requested set at once.
+  // ONE pass over the source plans every requested set at once.
   switch (options_.bucketizer) {
-    case Bucketizer::kSampling: {
-      // One reservoir per planned (set, attribute) -- sized for the set's
-      // bucket count -- each with its own deterministic generator, all
-      // filled in one scan. Masked-out slots stay empty and cost nothing.
-      std::vector<bucketing::ReservoirSampler> reservoirs;
-      std::vector<Rng> rngs;
-      reservoirs.reserve(sets * static_cast<size_t>(num_numeric));
-      rngs.reserve(sets * static_cast<size_t>(num_numeric));
+    case Bucketizer::kSampling:
+    case Bucketizer::kExactSort: {
+      // Algorithm 3.1 per planned (set, attribute) slot: min(S, N)
+      // ascending row indices drawn from the slot's seed -- every row for
+      // the exact sort, which ignores seeds, so its sets sharing a bucket
+      // count copy the first one's boundaries. One scan overwrites each
+      // slot's row indices in place with their values, which are then
+      // sorted into boundaries. Draws, gather shards and sorts all run on
+      // the pool; masked-out slots stay placeholders and cost nothing.
+      const bool exact = options_.bucketizer == Bucketizer::kExactSort;
+      const int64_t num_rows = source_->NumTuples();
+      std::vector<std::pair<size_t, int>> planned;  // (set, attribute)
       for (size_t i = 0; i < sets; ++i) {
-        const int64_t sample_size =
-            options_.sample_per_bucket * requests[i].num_buckets;
+        out[i]->assign(static_cast<size_t>(num_numeric), placeholder());
+        if (exact && first_copyable(i) != i) continue;
         for (int a = 0; a < num_numeric; ++a) {
-          // Masked-out slots get a minimal reservoir that is never fed.
-          reservoirs.emplace_back(needs(i, a) ? sample_size : 1);
-          rngs.emplace_back(options_.seed + requests[i].seed_offset +
-                            AttributeSalt(a));
+          if (needs(i, a)) planned.emplace_back(i, a);
         }
       }
-      std::unique_ptr<storage::BatchReader> reader = source_->CreateReader();
-      storage::ColumnarBatch batch;
-      while (reader->Next(&batch)) {
-        for (size_t i = 0; i < sets; ++i) {
-          for (int a = 0; a < num_numeric; ++a) {
-            if (!needs(i, a)) continue;
-            const size_t slot = i * static_cast<size_t>(num_numeric) +
-                                static_cast<size_t>(a);
-            for (const double value : batch.numeric(a)) {
-              reservoirs[slot].Add(value, rngs[slot]);
-            }
-          }
-        }
+      const auto for_each_slot = [&](const std::function<void(int)>& fn) {
+        const auto count = static_cast<int>(planned.size());
+        if (pool_ != nullptr) return pool_->Run(count, fn);
+        for (int j = 0; j < count; ++j) fn(j);
+      };
+      std::vector<std::vector<double>> samples(planned.size());
+      for_each_slot([&](int j) {
+        const auto [i, a] = planned[static_cast<size_t>(j)];
+        bucketing::SamplerOptions sampler;
+        sampler.num_buckets = requests[i].num_buckets;
+        sampler.sample_per_bucket = options_.sample_per_bucket;
+        std::vector<double>& sample = samples[static_cast<size_t>(j)];
+        sample.resize(static_cast<size_t>(
+            exact ? num_rows : bucketing::SampleRowCount(sampler, num_rows)));
+        Rng rng(options_.seed + requests[i].seed_offset + AttributeSalt(a));
+        bucketing::DrawSampleRows(num_rows, rng, sample);
+      });
+      std::vector<bucketing::SampleSlot> slots;
+      int64_t sample_rows = 0;
+      for (size_t j = 0; j < planned.size(); ++j) {
+        slots.push_back({planned[j].second, samples[j]});
+        sample_rows += static_cast<int64_t>(samples[j].size());
       }
-      for (size_t i = 0; i < sets; ++i) {
-        for (int a = 0; a < num_numeric; ++a) {
-          const size_t slot = i * static_cast<size_t>(num_numeric) +
-                              static_cast<size_t>(a);
-          out[i]->push_back(
-              needs(i, a)
-                  ? reservoirs[slot].TakeBoundaries(requests[i].num_buckets)
-                  : placeholder());
+      const int shards = bucketing::GatherSampleValues(*source_, slots, pool_);
+      span.AddAttribute("shards", static_cast<double>(shards));
+      span.AddAttribute("sample_rows", static_cast<double>(sample_rows));
+      for_each_slot([&](int j) {
+        const auto [i, a] = planned[static_cast<size_t>(j)];
+        (*out[i])[static_cast<size_t>(a)] = bucketing::BoundariesFromSample(
+            samples[static_cast<size_t>(j)], requests[i].num_buckets);
+      });
+      for (size_t i = 0; exact && i < sets; ++i) {
+        if (const size_t same = first_copyable(i); same != i) {
+          *out[i] = *out[same];
         }
       }
       return;
     }
     case Bucketizer::kGkSketch: {
-      // One deterministic GK sketch per (distinct epsilon, attribute),
-      // all fed in one scan; identical to the in-memory sketch because
-      // insertion order is the row order either way. Seeds are ignored,
-      // but the auto epsilon depends on the bucket count, so sets with
-      // different bucket counts may need their own sketch group.
+      // One deterministic GK sketch per (epsilon, attribute) some set
+      // plans, all fed in one scan; identical to the in-memory sketch
+      // because insertion order is the row order either way. Seeds are
+      // ignored, but the auto epsilon depends on the bucket count, so sets
+      // with different bucket counts may need their own sketches.
       std::vector<double> epsilons(sets);
-      std::vector<size_t> group_of(sets);
-      std::vector<double> distinct;
+      std::map<std::pair<double, int>, bucketing::GkQuantileSketch> sketches;
       for (size_t i = 0; i < sets; ++i) {
         bucketing::BoundaryPlan plan = ToBoundaryPlan(options_);
         plan.num_buckets = requests[i].num_buckets;
         epsilons[i] = plan.EffectiveGkEpsilon();
-        size_t g = distinct.size();
-        for (size_t d = 0; d < distinct.size(); ++d) {
-          if (distinct[d] == epsilons[i]) {
-            g = d;
-            break;
-          }
-        }
-        if (g == distinct.size()) distinct.push_back(epsilons[i]);
-        group_of[i] = g;
-      }
-      // Per group, sketch only the attributes some member set plans.
-      std::vector<std::vector<uint8_t>> group_needs(
-          distinct.size(),
-          std::vector<uint8_t>(static_cast<size_t>(num_numeric), 0));
-      for (size_t i = 0; i < sets; ++i) {
         for (int a = 0; a < num_numeric; ++a) {
-          if (needs(i, a)) group_needs[group_of[i]][static_cast<size_t>(a)] = 1;
+          if (needs(i, a)) sketches.try_emplace({epsilons[i], a}, epsilons[i]);
         }
-      }
-      std::vector<bucketing::GkQuantileSketch> sketches;
-      sketches.reserve(distinct.size() * static_cast<size_t>(num_numeric));
-      for (const double epsilon : distinct) {
-        for (int a = 0; a < num_numeric; ++a) sketches.emplace_back(epsilon);
       }
       std::unique_ptr<storage::BatchReader> reader = source_->CreateReader();
       storage::ColumnarBatch batch;
       while (reader->Next(&batch)) {
-        for (size_t g = 0; g < distinct.size(); ++g) {
-          for (int a = 0; a < num_numeric; ++a) {
-            if (group_needs[g][static_cast<size_t>(a)] == 0) continue;
-            auto& sketch = sketches[g * static_cast<size_t>(num_numeric) +
-                                    static_cast<size_t>(a)];
-            for (const double value : batch.numeric(a)) sketch.Add(value);
-          }
+        for (auto& [key, sketch] : sketches) {
+          for (const double value : batch.numeric(key.second)) sketch.Add(value);
         }
       }
       for (size_t i = 0; i < sets; ++i) {
-        // Same bucket count means same epsilon, hence the same sketch
-        // group and the same cut points: copy instead of re-extracting.
-        const size_t same = first_copyable(i);
-        if (same != i) {
+        // Same bucket count means same epsilon, hence the same sketches
+        // and the same cut points: copy instead of re-extracting.
+        if (const size_t same = first_copyable(i); same != i) {
           *out[i] = *out[same];
           continue;
         }
         for (int a = 0; a < num_numeric; ++a) {
-          const auto& sketch =
-              sketches[group_of[i] * static_cast<size_t>(num_numeric) +
-                       static_cast<size_t>(a)];
+          const auto it = sketches.find({epsilons[i], a});
           out[i]->push_back(
-              !needs(i, a) || sketch.count() == 0
+              !needs(i, a) || it->second.count() == 0
                   ? placeholder()
                   : bucketing::BoundariesFromGkSketch(
-                        sketch, requests[i].num_buckets));
-        }
-      }
-      return;
-    }
-    case Bucketizer::kExactSort: {
-      // Exact depths need the full columns; buffer them from one scan.
-      // This is an in-memory fallback -- out-of-core exact bucketing goes
-      // through bucketing::NaiveSortBoundariesFromFile instead. Seeds are
-      // ignored, so sets sharing a bucket count copy the first set's
-      // boundaries instead of re-sorting every column.
-      std::vector<uint8_t> any_needs(static_cast<size_t>(num_numeric), 0);
-      for (size_t i = 0; i < sets; ++i) {
-        for (int a = 0; a < num_numeric; ++a) {
-          if (needs(i, a)) any_needs[static_cast<size_t>(a)] = 1;
-        }
-      }
-      std::vector<std::vector<double>> columns(
-          static_cast<size_t>(num_numeric));
-      std::unique_ptr<storage::BatchReader> reader = source_->CreateReader();
-      storage::ColumnarBatch batch;
-      while (reader->Next(&batch)) {
-        for (int a = 0; a < num_numeric; ++a) {
-          if (any_needs[static_cast<size_t>(a)] == 0) continue;
-          const std::span<const double> values = batch.numeric(a);
-          auto& column = columns[static_cast<size_t>(a)];
-          column.insert(column.end(), values.begin(), values.end());
-        }
-      }
-      for (size_t i = 0; i < sets; ++i) {
-        const size_t same = first_copyable(i);
-        if (same != i) {
-          *out[i] = *out[same];
-          continue;
-        }
-        for (int a = 0; a < num_numeric; ++a) {
-          out[i]->push_back(
-              needs(i, a)
-                  ? bucketing::ExactEquiDepthBoundaries(
-                        columns[static_cast<size_t>(a)],
-                        requests[i].num_buckets)
-                  : placeholder());
+                        it->second, requests[i].num_buckets));
         }
       }
       return;

@@ -153,10 +153,10 @@ struct MinedAggregateRange {
 /// counting_scans() stays 1 for the lifetime of the session.
 class MiningEngine {
  public:
-  /// Engine over an in-memory relation (which must outlive the engine).
-  /// Boundary planning reads the relation's columns directly with the
-  /// same per-attribute salts as the legacy Miner, so results match it
-  /// bit-for-bit.
+  /// Engine over an in-memory relation (which must outlive the engine),
+  /// read through a zero-copy RelationBatchSource like any other source.
+  /// Boundaries use the same per-attribute seeds as the legacy Miner, so
+  /// results match it bit-for-bit.
   MiningEngine(const storage::Relation* relation, MinerOptions options,
                ThreadPool* pool = nullptr);
 
@@ -307,6 +307,10 @@ class MiningEngine {
   /// (tests assert the reuse).
   int64_t hull_contexts_built() const { return hull_contexts_built_; }
 
+  /// Base boundary set, one per numeric attribute (empty before Prepare).
+  const std::vector<bucketing::BucketBoundaries>& boundaries() const {
+    return boundaries_;
+  }
   const storage::Schema& schema() const { return schema_; }
   const MinerOptions& options() const { return options_; }
 
@@ -332,10 +336,11 @@ class MiningEngine {
     friend bool operator==(const RegionPair&, const RegionPair&) = default;
   };
 
-  /// Plans one boundary set per request for every numeric attribute;
-  /// generic batch sources pay ONE streaming pass for the whole request
-  /// list (the deterministic bucketizers ignore seeds and are planned once
-  /// per distinct bucket count, then copied).
+  /// Plans one boundary set per request for every numeric attribute in
+  /// ONE pass over the source for the whole request list. Sampling
+  /// gathers its pre-drawn sample rows, row-sharded over the pool when
+  /// the source has range readers; the deterministic bucketizers ignore
+  /// seeds and are planned once per distinct bucket count, then copied.
   void PlanBoundarySets(
       std::span<const BoundarySetRequest> requests,
       std::span<std::vector<bucketing::BucketBoundaries>* const> out);
@@ -379,7 +384,6 @@ class MiningEngine {
   /// Cached hull context of SumsFor(range_attr, k), built on first use.
   const SlopePairContext& HullContextFor(int range_attr, int k);
 
-  const storage::Relation* relation_ = nullptr;  ///< in-memory fast path
   std::unique_ptr<storage::BatchSource> owned_source_;
   storage::BatchSource* source_ = nullptr;
   /// Distributed session state (null for single-source engines): counting

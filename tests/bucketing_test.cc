@@ -7,6 +7,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <memory>
 #include <numeric>
 #include <set>
 
@@ -20,6 +21,7 @@
 #include "bucketing/parallel_count.h"
 #include "bucketing/sort_bucketizer.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "storage/paged_file.h"
 #include "storage/columnar_batch.h"
 
@@ -150,68 +152,143 @@ TEST(SamplerTest, EmptyInputYieldsSingleBucket) {
   EXPECT_EQ(b.num_buckets(), 1);
 }
 
-// --------------------------------------------------- reservoir sampler ----
+// -------------------------------------------------------- sample rows ----
 
-TEST(ReservoirSamplerTest, FewerValuesThanCapacityKeepsThemAll) {
-  // With every value retained the sample is the whole input, so any seed
-  // plans the exact equi-depth cuts of the input.
+std::vector<double> DrawRows(int64_t num_rows, int64_t sample_size,
+                             uint64_t seed) {
+  SamplerOptions options;
+  options.num_buckets = 1;
+  options.sample_per_bucket = sample_size;
+  std::vector<double> rows(
+      static_cast<size_t>(SampleRowCount(options, num_rows)));
+  Rng rng(seed);
+  DrawSampleRows(num_rows, rng, rows);
+  return rows;
+}
+
+TEST(SampleRowsTest, AscendingInRangeAndMinOfSAndN) {
+  for (const int64_t n : {int64_t{1}, int64_t{2}, int64_t{999},
+                          int64_t{1000}, int64_t{1001}, int64_t{50000}}) {
+    for (const int64_t s : {int64_t{1}, int64_t{7}, int64_t{1000}}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " s=" << s);
+      const std::vector<double> rows = DrawRows(n, s, 40);
+      ASSERT_EQ(static_cast<int64_t>(rows.size()), std::min(s, n));
+      EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end()));
+      for (const double row : rows) {
+        EXPECT_EQ(row, std::floor(row));
+        EXPECT_GE(row, 0.0);
+        EXPECT_LT(row, static_cast<double>(n));
+      }
+    }
+  }
+}
+
+TEST(SampleRowsTest, SampleOfAtLeastNTakesEveryRow) {
+  // S >= N takes every row once, so any seed plans the exact equi-depth
+  // cuts of the input.
+  EXPECT_EQ(DrawRows(1, 40, 1), std::vector<double>{0.0});
+  const std::vector<double> rows = DrawRows(300, 400, 2);
+  std::vector<double> every(300);
+  std::iota(every.begin(), every.end(), 0.0);
+  EXPECT_EQ(rows, every);
+
   const std::vector<double> values = RandomValues(300, 30);
   std::vector<double> sorted = values;
   std::sort(sorted.begin(), sorted.end());
   const BucketBoundaries exact = BucketBoundaries::FromSortedValues(sorted, 7);
+  SamplerOptions options;
+  options.num_buckets = 7;
+  options.sample_per_bucket = 60;  // S = 420 > N = 300
   for (const uint64_t seed : {1u, 2u, 3u}) {
-    ReservoirSampler reservoir(400);
     Rng rng(seed);
-    for (const double v : values) reservoir.Add(v, rng);
-    EXPECT_EQ(reservoir.TakeBoundaries(7).cut_points(), exact.cut_points())
+    EXPECT_EQ(BuildEquiDepthBoundaries(values, options, rng).cut_points(),
+              exact.cut_points())
         << seed;
   }
 }
 
-TEST(ReservoirSamplerTest, SampleNeverExceedsCapacity) {
-  // Every cut point is a sampled value, so a sample of distinct values
-  // can never yield more distinct cuts than it holds values.
-  constexpr int64_t kCapacity = 50;
-  for (const int64_t fed : {int64_t{49}, kCapacity, int64_t{51},
-                            int64_t{10000}}) {
-    ReservoirSampler reservoir(kCapacity);
-    Rng rng(31);
-    for (const double v : RandomValues(fed, 32)) reservoir.Add(v, rng);
-    const BucketBoundaries b = reservoir.TakeBoundaries(1000);
+TEST(SampleRowsTest, CutsNeverOutnumberTheSample) {
+  // Every cut point is a sampled value, so a sample of distinct values can
+  // never yield more distinct cuts than it holds values: min(S, N) - 1.
+  constexpr int64_t kSample = 50;
+  for (const int64_t n : {int64_t{49}, kSample, int64_t{51}, int64_t{10000}}) {
+    const std::vector<double> values = RandomValues(n, 32);
+    std::vector<double> sample = DrawRows(n, kSample, 31);
+    for (double& row : sample) row = values[static_cast<size_t>(row)];
+    const BucketBoundaries b = BoundariesFromSample(sample, 1000);
     const std::set<double> distinct(b.cut_points().begin(),
                                     b.cut_points().end());
-    EXPECT_LE(static_cast<int64_t>(distinct.size()), kCapacity) << fed;
-    // Ranks of a full sample: 0 .. S-2, one distinct cut each.
-    EXPECT_EQ(static_cast<int64_t>(distinct.size()),
-              std::min(fed, kCapacity) - 1)
-        << fed;
+    EXPECT_LE(static_cast<int64_t>(distinct.size()), kSample - 1) << n;
+    if (n <= kSample) {
+      EXPECT_EQ(static_cast<int64_t>(distinct.size()), n - 1) << n;
+    }
   }
 }
 
-TEST(ReservoirSamplerTest, NeverFedSamplerYieldsSingleBucket) {
-  ReservoirSampler reservoir(16);
-  EXPECT_TRUE(reservoir.empty());
-  const BucketBoundaries b = reservoir.TakeBoundaries(16);
+TEST(SampleRowsTest, EmptySampleYieldsSingleBucket) {
+  std::vector<double> sample;
+  const BucketBoundaries b = BoundariesFromSample(sample, 16);
   EXPECT_EQ(b.num_buckets(), 1);
   EXPECT_EQ(b.Locate(-1e308), 0);
   EXPECT_EQ(b.Locate(1e308), 0);
+  std::vector<double> all_nan(5, std::nan(""));
+  EXPECT_EQ(BoundariesFromSample(all_nan, 16).num_buckets(), 1);
 }
 
-TEST(ReservoirSamplerTest, FixedSeedIsDeterministic) {
+TEST(SampleRowsTest, DeterministicPerSeedAndDiffersAcrossSeeds) {
+  EXPECT_EQ(DrawRows(20000, 400, 34), DrawRows(20000, 400, 34));
+  EXPECT_NE(DrawRows(20000, 400, 34), DrawRows(20000, 400, 35));
   const std::vector<double> values = RandomValues(20000, 33);
+  SamplerOptions options;
+  options.num_buckets = 10;
   const auto plan = [&](uint64_t seed) {
-    ReservoirSampler reservoir(400);
     Rng rng(seed);
-    for (const double v : values) reservoir.Add(v, rng);
-    return reservoir.TakeBoundaries(10).cut_points();
+    return BuildEquiDepthBoundaries(values, options, rng).cut_points();
   };
   EXPECT_EQ(plan(34), plan(34));
   EXPECT_NE(plan(34), plan(35));
 }
 
-TEST(ReservoirSamplerTest, BatchScanDepthWithinHundredPercent) {
-  // One sequential batch scan into the reservoir must produce *almost
-  // equi-depth* buckets: every depth within +-100% of N/M.
+TEST(SampleRowsTest, HugeTableNeedsNoTableSizedBuffer) {
+  // N = 2^40 rows: the draw is O(S) in time and memory, and row indices
+  // stay exact integers below N.
+  constexpr int64_t kRows = int64_t{1} << 40;
+  const std::vector<double> rows = DrawRows(kRows, 4000, 41);
+  ASSERT_EQ(rows.size(), 4000u);
+  EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end()));
+  EXPECT_GE(rows.front(), 0.0);
+  EXPECT_LT(rows.back(), static_cast<double>(kRows));
+  for (const double row : rows) EXPECT_EQ(row, std::floor(row));
+  // Spread over the whole range, not bunched at one end.
+  EXPECT_LT(rows.front(), static_cast<double>(kRows) / 100);
+  EXPECT_GT(rows.back(), static_cast<double>(kRows) / 100 * 99);
+}
+
+TEST(SampleRowsTest, RowsAreCoarselyUniform) {
+  // Chi-square over 20 equal row ranges: 19 degrees of freedom, whose
+  // 0.999 quantile is 43.8.
+  constexpr int kBins = 20;
+  constexpr int64_t kRows = 1000003;
+  for (const uint64_t seed : {50u, 51u, 52u}) {
+    const std::vector<double> rows = DrawRows(kRows, 100000, seed);
+    std::vector<int64_t> bins(kBins, 0);
+    for (const double row : rows) {
+      ++bins[static_cast<size_t>(static_cast<int64_t>(row) * kBins / kRows)];
+    }
+    const double expected = static_cast<double>(rows.size()) / kBins;
+    double chi2 = 0.0;
+    for (const int64_t count : bins) {
+      const double d = static_cast<double>(count) - expected;
+      chi2 += d * d / expected;
+    }
+    EXPECT_LT(chi2, 43.8) << seed;
+  }
+}
+
+TEST(SampleRowsTest, GatheredBatchScanDepthWithinHundredPercent) {
+  // Sample rows gathered by one sequential batch scan must produce
+  // *almost equi-depth* buckets -- every depth within +-100% of N/M --
+  // and exactly the boundaries random access over the column plans.
   storage::Relation relation(storage::Schema::Synthetic(1, 1));
   Rng data_rng(6);
   for (int i = 0; i < 50000; ++i) {
@@ -222,16 +299,20 @@ TEST(ReservoirSamplerTest, BatchScanDepthWithinHundredPercent) {
   }
   SamplerOptions options;
   options.num_buckets = 100;
-  ReservoirSampler reservoir(options.sample_per_bucket *
-                             options.num_buckets);
-  Rng rng(7);
   storage::RelationBatchSource source(&relation, 1000);
-  auto reader = source.CreateReader();
-  storage::ColumnarBatch batch;
-  while (reader->Next(&batch)) {
-    for (const double v : batch.numeric(0)) reservoir.Add(v, rng);
-  }
-  const BucketBoundaries b = reservoir.TakeBoundaries(options.num_buckets);
+  std::vector<double> sample(
+      static_cast<size_t>(SampleRowCount(options, source.NumTuples())));
+  Rng rng(7);
+  DrawSampleRows(source.NumTuples(), rng, sample);
+  const SampleSlot slot{0, sample};
+  EXPECT_EQ(GatherSampleValues(source, {&slot, 1}, nullptr), 0);
+  EXPECT_EQ(source.scans_started(), 1);
+  const BucketBoundaries b = BoundariesFromSample(sample, options.num_buckets);
+  Rng random_access_rng(7);
+  EXPECT_EQ(b.cut_points(),
+            BuildEquiDepthBoundaries(relation.NumericColumn(0), options,
+                                     random_access_rng)
+                .cut_points());
   EXPECT_EQ(b.num_buckets(), 100);
   std::vector<int64_t> counts(100, 0);
   for (double v : relation.NumericColumn(0)) {
@@ -240,6 +321,34 @@ TEST(ReservoirSamplerTest, BatchScanDepthWithinHundredPercent) {
   const double expected = 500.0;
   for (int64_t c : counts) {
     EXPECT_NEAR(static_cast<double>(c), expected, expected);  // +-100%
+  }
+}
+
+TEST(SampleRowsTest, ShardedGatherMatchesSerialGatherAndScansOnce) {
+  // Two slots over different columns with duplicate rows (S > N / 2 with
+  // replacement), gathered serially and on row shards of several pools.
+  const int64_t n = 3 * 8192 + 17;
+  storage::Relation relation(storage::Schema::Synthetic(2, 1));
+  for (int64_t i = 0; i < n; ++i) {
+    const double numeric[] = {static_cast<double>(i), -static_cast<double>(i)};
+    const uint8_t flag = 0;
+    relation.AppendRow(numeric, std::span<const uint8_t>(&flag, 1));
+  }
+  const std::vector<double> rows_a = DrawRows(n, 20000, 60);
+  const std::vector<double> rows_b = DrawRows(n, 5000, 61);
+  for (const int threads : {0, 1, 3, 4}) {
+    SCOPED_TRACE(threads);
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+    storage::RelationBatchSource source(&relation, 1000);
+    std::vector<double> a = rows_a;
+    std::vector<double> b = rows_b;
+    const SampleSlot slots[] = {{0, a}, {1, b}};
+    EXPECT_EQ(GatherSampleValues(source, slots, pool.get()),
+              threads > 0 ? RowShardCount(n) : 0);
+    EXPECT_EQ(source.scans_started(), 1);
+    EXPECT_EQ(a, rows_a);  // column 0 holds the row index itself
+    for (size_t j = 0; j < b.size(); ++j) EXPECT_EQ(b[j], -rows_b[j]);
   }
 }
 

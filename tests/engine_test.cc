@@ -395,8 +395,9 @@ TEST(MiningEngineTest, ExactlyOneCountingScanForAnyNumberOfPairs) {
 }
 
 TEST(MiningEngineTest, RelationEngineScansOnceTotal) {
-  // The in-memory fast path plans from the columns directly, so even the
-  // planning pass does not touch the batch source: one scan, full stop.
+  // An engine over a relation plans through its own zero-copy batch
+  // source, like any other source: one planning pass, then ONE counting
+  // scan, full stop.
   const storage::Relation relation = SmallRelation(10000, 17);
   storage::RelationBatchSource source(&relation);
   MinerOptions options;
@@ -404,9 +405,7 @@ TEST(MiningEngineTest, RelationEngineScansOnceTotal) {
   options.bucketizer = Bucketizer::kGkSketch;
   MiningEngine engine(&source, relation.schema(), options);
   engine.Prepare();
-  // Generic sources pay one planning pass; the engine built directly over
-  // the relation (below) must not even do that.
-  EXPECT_EQ(source.scans_started(), 2);
+  EXPECT_EQ(source.scans_started(), 2);  // planning + counting
 
   MiningEngine direct(&relation, options);
   direct.MineAllPairs();
@@ -1138,6 +1137,50 @@ TEST(MiningEngineTest, RepeatedAggregateQueriesReuseHullContext) {
       legacy.MineMaximumSupportRange("num0", "num1", 4.5e5));
   EXPECT_EQ(engine.hull_contexts_built(), 2);
   EXPECT_EQ(engine.counting_scans(), 1);
+}
+
+TEST(MiningEngineTest, OversizedSampleIsBoundedByTheTable) {
+  // S = 1e6 samples per bucket x 1e5 buckets = 1e11 sample rows over a
+  // 2,000-row table: planning takes min(S, N) = every row once instead of
+  // allocating S, so each source kind answers -- with the exact sort's
+  // boundaries, whatever the row order -- and matches the legacy Miner.
+  const storage::Relation relation = RelationWithNans(2000, 74);
+  MinerOptions options;
+  options.num_buckets = 100000;
+  options.sample_per_bucket = 1000000;
+  MinerOptions exact = options;
+  exact.bucketizer = Bucketizer::kExactSort;
+  MiningEngine exact_engine(&relation, exact);
+  const std::vector<MinedRule> expected = exact_engine.MineAllPairs();
+  Miner legacy(&relation, options);
+  ExpectSameRules(legacy.MineAll(), expected);
+
+  MiningEngine memory_engine(&relation, options);
+  ASSERT_TRUE(memory_engine.TryPrepare().ok());
+  ExpectSameRules(memory_engine.MineAllPairs(), expected);
+
+  const std::string root = testing::TempDir() + "/oversized_sample";
+  std::filesystem::remove_all(root);
+  std::filesystem::create_directories(root);
+  const std::string path = root + "/table.optr";
+  ASSERT_TRUE(storage::WriteRelationToFile(relation, path).ok());
+  auto source_or = storage::PagedFileBatchSource::Open(path, 256);
+  ASSERT_TRUE(source_or.ok());
+  ThreadPool pool(2);
+  MiningEngine file_engine(source_or.value().get(), relation.schema(),
+                           options, &pool);
+  ASSERT_TRUE(file_engine.TryPrepare().ok());
+  ExpectSameRules(file_engine.MineAllPairs(), expected);
+
+  dist::PartitionOptions partitioning;
+  partitioning.num_partitions = 2;
+  Result<dist::PartitionedTable> table =
+      dist::PartitionRelation(relation, root + "/parts", partitioning);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  MiningEngine partitioned_engine(&table.value(), options);
+  ASSERT_TRUE(partitioned_engine.TryPrepare().ok());
+  ExpectSameRules(partitioned_engine.MineAllPairs(), expected);
+  std::filesystem::remove_all(root);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "bucketing/counting.h"
 #include "bucketing/parallel_count.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "datagen/table_generator.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -358,6 +359,61 @@ TEST(Trace, EnginePlanSpanPerPrepareUnderCallerSpan) {
     EXPECT_EQ(attributes["bucketizer"], bucketizers[i]);
     EXPECT_EQ(attributes["boundary_sets"], 2.0);  // base + one extra set
     EXPECT_EQ(attributes["rows"], 3000.0);
+  }
+}
+
+// A sampled plan gathers its sample rows on the counting scan's row
+// shards: one bucketing.plan_shard span per shard, each a child of
+// engine.plan, which carries the shard count and the total sample rows.
+// Without a pool the gather is one serial read with no shard spans.
+TEST(Trace, SampledPlanRecordsOneShardSpanPerShard) {
+  datagen::TableConfig config;
+  config.num_rows = 3 * 8192 + 17;
+  config.num_numeric = 3;
+  config.num_boolean = 2;
+  Rng rng(18);
+  const storage::Relation relation = datagen::GenerateTable(config, rng);
+  ThreadPool pool(3);
+  for (ThreadPool* engine_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(engine_pool == nullptr ? "serial" : "pooled");
+    Tracer& tracer = Tracer::Default();
+    tracer.Clear();
+    tracer.set_enabled(true);
+    {
+      rules::MinerOptions options;
+      options.num_buckets = 20;  // S = 800 per slot
+      rules::MiningEngine engine(&relation, options, engine_pool);
+      ASSERT_TRUE(engine.RequestGeneralized({"bool0"}).ok());
+      ASSERT_TRUE(engine.TryPrepare().ok());
+    }
+    tracer.set_enabled(false);
+    const std::vector<SpanRecord> spans = tracer.Snapshot();
+    tracer.Clear();
+
+    std::vector<const SpanRecord*> plans;
+    std::vector<const SpanRecord*> shards;
+    for (const SpanRecord& span : spans) {
+      if (span.name == "engine.plan") plans.push_back(&span);
+      if (span.name == "bucketing.plan_shard") shards.push_back(&span);
+    }
+    ASSERT_EQ(plans.size(), 1u);
+    const int expected_shards =
+        engine_pool == nullptr
+            ? 0
+            : bucketing::RowShardCount(config.num_rows);
+    std::map<std::string, double> attributes(plans[0]->attributes.begin(),
+                                             plans[0]->attributes.end());
+    EXPECT_EQ(attributes["shards"], expected_shards);
+    EXPECT_EQ(attributes["sample_rows"], 2 * 3 * 800.0);  // sets x attrs x S
+    ASSERT_EQ(shards.size(), static_cast<size_t>(expected_shards));
+    std::vector<int> seen(shards.size(), 0);
+    for (const SpanRecord* shard : shards) {
+      EXPECT_EQ(shard->parent_id, plans[0]->id);
+      ASSERT_EQ(shard->attributes.size(), 1u);
+      EXPECT_EQ(shard->attributes[0].first, "shard");
+      ++seen[static_cast<size_t>(shard->attributes[0].second)];
+    }
+    EXPECT_EQ(seen, std::vector<int>(shards.size(), 1));
   }
 }
 

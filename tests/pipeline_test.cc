@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -67,9 +68,9 @@ TEST(PipelineTest, CsvRoundTripPreservesMinedRules) {
 }
 
 TEST(PipelineTest, DiskPipelineMatchesInMemoryPipeline) {
-  // The out-of-core path (paged batch scan -> reservoir sampler -> one
-  // counting scan -> O(M) rules) must find a rule statistically equivalent
-  // to the in-memory path on the same data.
+  // The out-of-core path (sample rows drawn up front -> one paged gather
+  // scan -> one counting scan -> O(M) rules) must find a rule
+  // statistically equivalent to the in-memory path on the same data.
   Rng rng(2);
   const storage::Relation table =
       datagen::GenerateTable(PlantedConfig(40000), rng);
@@ -81,18 +82,14 @@ TEST(PipelineTest, DiskPipelineMatchesInMemoryPipeline) {
   storage::PagedFileBatchSource& source = *source_or.value();
   bucketing::SamplerOptions sampler;
   sampler.num_buckets = 100;
-  bucketing::ReservoirSampler reservoir(sampler.sample_per_bucket *
-                                        sampler.num_buckets);
+  std::vector<double> sample(static_cast<size_t>(
+      bucketing::SampleRowCount(sampler, source.NumTuples())));
   Rng sample_rng(3);
-  {
-    auto reader = source.CreateReader();
-    storage::ColumnarBatch batch;
-    while (reader->Next(&batch)) {
-      for (const double v : batch.numeric(0)) reservoir.Add(v, sample_rng);
-    }
-  }
+  bucketing::DrawSampleRows(source.NumTuples(), sample_rng, sample);
+  const bucketing::SampleSlot slot{0, sample};
+  bucketing::GatherSampleValues(source, {&slot, 1}, nullptr);
   const bucketing::BucketBoundaries boundaries =
-      reservoir.TakeBoundaries(sampler.num_buckets);
+      bucketing::BoundariesFromSample(sample, sampler.num_buckets);
   bucketing::MultiCountPlan plan({&boundaries}, source.num_boolean());
   bucketing::ExecuteMultiCount(source, &plan, nullptr);
   EXPECT_EQ(source.scans_started(), 2);  // one sampling + one counting scan

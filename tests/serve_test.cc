@@ -740,6 +740,42 @@ TEST(MiningServerTest, OutOfRangeGkEpsilonFailsOnlyItsSession) {
   server.Stop();
 }
 
+TEST(MiningServerTest, OversizedSampleSessionDoesNotTakeDownTheServer) {
+  // num_buckets = 1e5 with sample_per_bucket = 1e6 passes option
+  // validation and asks for a 1e11-row sample; the plan takes min(S, N),
+  // so the session over a 2,000-row, 2-partition table answers, and the
+  // server answers the next session.
+  const std::string root = TempDir("serve_oversized_sample");
+  const std::string table_dir = root + "/table";
+  dist::PartitionOptions partitioning;
+  partitioning.num_partitions = 2;
+  auto table = dist::PartitionRelation(TestRelation(2000, 54), table_dir,
+                                       partitioning);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+
+  ServerOptions options;
+  options.coalescing_window_ms = 5;
+  MiningServer server(options);
+  ASSERT_TRUE(server.ListenUnix(root + "/serve.sock").ok());
+  ASSERT_TRUE(server.Start().ok());
+
+  MiningClient client = Connect(server);
+  SessionRequest oversized = PairRequest(table_dir, table.value().schema());
+  oversized.options.num_buckets = 100000;
+  oversized.options.sample_per_bucket = 1000000;
+  ASSERT_TRUE(ValidateSessionOptions(oversized.options).ok());
+  auto answered = client.RunSession(oversized);
+  ASSERT_TRUE(answered.ok()) << answered.status().ToString();
+  ASSERT_EQ(answered.value().answers.size(), 1u);
+  EXPECT_TRUE(answered.value().answers[0].status.ok());
+
+  auto next = client.RunSession(PairRequest(table_dir, table.value().schema()));
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  ASSERT_EQ(next.value().answers.size(), 1u);
+  EXPECT_TRUE(next.value().answers[0].status.ok());
+  server.Stop();
+}
+
 // ----------------------------------------------------- admission control ----
 
 TEST(MiningServerTest, AdmissionControlRefusesBeyondTheBound) {
