@@ -24,8 +24,15 @@ optrules::rules::RangeRule MineWith(
     const std::vector<double>& values, const std::vector<uint8_t>& target,
     const optrules::bucketing::BucketBoundaries& boundaries,
     double min_support) {
-  optrules::bucketing::BucketCounts counts =
-      optrules::bucketing::CountBuckets(values, target, boundaries);
+  // One-channel counting plan over the whole column as a single batch.
+  optrules::storage::ColumnarBatch batch;
+  batch.Reset(1, 1);
+  batch.SetRows(static_cast<int64_t>(values.size()));
+  batch.SetNumeric(0, values);
+  batch.SetBoolean(0, target);
+  optrules::bucketing::MultiCountPlan plan({&boundaries}, 1);
+  plan.Accumulate(batch);
+  optrules::bucketing::BucketCounts counts = plan.TakeCounts(0);
   optrules::bucketing::CompactEmptyBuckets(&counts);
   if (counts.u.empty()) return {};
   return optrules::rules::OptimizedConfidenceRule(

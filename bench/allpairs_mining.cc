@@ -3,10 +3,11 @@
 // Boolean attributes in a reasonable time."
 //
 // Mines both optimized rules for every (numeric, Boolean) attribute pair
-// of a synthetic table twice -- once with the legacy per-attribute miner
-// (one counting scan per numeric attribute) and once with the
-// MiningEngine batch core (ONE shared counting scan for everything) --
-// verifies the outputs are identical, and reports both wall times. A
+// of a synthetic table twice -- once with the test-only per-attribute
+// reference miner (tests/reference/, one counting scan per numeric
+// attribute) and once with the MiningEngine batch core (ONE shared
+// counting scan for everything) -- verifies the outputs are identical, and
+// reports both wall times. A
 // second stage re-mines every pair at three more threshold sets straight
 // from the engine's cached counts (the threshold-sweep API) and runs
 // generalized + aggregate queries from the same session, asserting the
@@ -18,6 +19,7 @@
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "datagen/table_generator.h"
+#include "reference/miner.h"
 #include "rules/miner.h"
 
 namespace {
@@ -73,7 +75,7 @@ int main() {
   options.min_support = 0.05;
   options.min_confidence = 0.5;
 
-  // Legacy path: one counting scan per numeric attribute.
+  // Reference path: one counting scan per numeric attribute.
   optrules::rules::Miner miner(&table, options);
   optrules::WallTimer legacy_timer;
   const std::vector<optrules::rules::MinedRule> legacy = miner.MineAll();

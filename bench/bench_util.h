@@ -13,12 +13,16 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "bucketing/simd_kernels.h"
 #include "common/rng.h"
 #include "obs/metrics.h"
+#include "storage/buffer_pool.h"
 
 namespace optrules::bench {
 
@@ -37,9 +41,29 @@ inline bool BenchJsonEnabled() {
          !(env[0] == '0' && env[1] == '\0');
 }
 
+/// The host a measurement ran on, as a JSON object: hardware threads,
+/// CPU model (/proc/cpuinfo), the active SIMD kernel arm and the default
+/// buffer pool's capacity. Numbers are only comparable on the same host.
+inline std::string HostJson() {
+  std::string cpu = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) == 0) {
+      const size_t colon = line.find(": ");
+      if (colon != std::string::npos) cpu = line.substr(colon + 2);
+      break;
+    }
+  }
+  const storage::BufferPool* pool = storage::BufferPool::Default();
+  return "{\"nproc\":" + std::to_string(std::thread::hardware_concurrency()) +
+         ",\"cpu_model\":\"" + cpu + "\",\"simd_arm\":\"" +
+         bucketing::simd::Active().name + "\",\"buffer_pool_bytes\":" +
+         std::to_string(pool == nullptr ? 0 : pool->capacity_bytes()) + "}";
+}
+
 /// Accumulates metrics for one harness and, when BenchJsonEnabled(),
 /// prints them as a single-line JSON object at destruction:
-///   {"bench":"<name>","scale":N,"metrics":{"k":v,...}}
+///   {"bench":"<name>","scale":N,"host":{...},"metrics":{"k":v,...}}
 /// Keys are emitted in insertion order; repeated keys are allowed (later
 /// entries win for standard JSON parsers, so use distinct keys).
 class JsonReporter {
@@ -52,9 +76,10 @@ class JsonReporter {
 
   ~JsonReporter() {
     if (!BenchJsonEnabled()) return;
-    std::printf("{\"bench\":\"%s\",\"scale\":%lld,\"metrics\":{",
-                bench_name_.c_str(),
-                static_cast<long long>(BenchScale()));
+    std::printf("{\"bench\":\"%s\",\"scale\":%lld,\"host\":%s,"
+                "\"metrics\":{",
+                bench_name_.c_str(), static_cast<long long>(BenchScale()),
+                HostJson().c_str());
     for (size_t i = 0; i < entries_.size(); ++i) {
       std::printf("%s\"%s\":%s", i == 0 ? "" : ",",
                   entries_[i].first.c_str(), entries_[i].second.c_str());

@@ -7,8 +7,8 @@
 //
 // Part 2 times the grid COUNTING itself through the MiningEngine's grid
 // channel -- in memory and out-of-core over a PagedFile -- and
-// cross-checks every path bit-identical against the legacy row-at-a-time
-// region::BuildGrid reference.
+// cross-checks every path bit-identical against the test-only reference
+// miner's row-at-a-time region::BuildGrid pass (tests/reference/).
 
 #include <cstdio>
 #include <cstdlib>
@@ -19,6 +19,7 @@
 #include "region/grid.h"
 #include "region/rectangle.h"
 #include "region/xmonotone.h"
+#include "reference/miner.h"
 #include "rules/miner.h"
 #include "storage/paged_file.h"
 
@@ -153,7 +154,7 @@ int main() {
   std::printf("rows: %lld, grid %d x %d\n\n", static_cast<long long>(rows),
               options.region_grid_buckets, options.region_grid_buckets);
 
-  // Legacy reference: private row-at-a-time BuildGrid pass.
+  // Reference miner: private row-at-a-time BuildGrid pass.
   optrules::rules::Miner legacy(&relation, options);
   optrules::WallTimer legacy_timer;
   const auto legacy_region =

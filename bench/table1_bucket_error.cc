@@ -69,9 +69,9 @@ int main() {
     // deviation and the lower confidence deviation can be observed.)
     options.min_support = kSupportOpt;
     options.seed = 7;
-    optrules::rules::Miner miner(&table, options);
+    optrules::rules::MiningEngine engine(&table, options);
     const optrules::rules::MinedRule mined =
-        miner.MinePair("num0", "bool0").value()[0];
+        engine.MinePair("num0", "bool0").value()[0];
 
     std::printf("%8d | %10.2f ... %8.2f | %10.2f ... %8.2f |", buckets,
                 bounds.support_lo * 100.0, bounds.support_hi * 100.0,

@@ -33,10 +33,14 @@ int main() {
   options.num_buckets = 1000;
   options.min_support = 0.10;
   options.min_confidence = 0.50;
-  optrules::rules::Miner miner(&customers, options);
+  optrules::rules::MiningEngine engine(&customers, options);
+  // Registering the aggregate target and the generalized condition up
+  // front lets their channels ride along in the one counting scan.
+  (void)engine.RequestAverageTarget("SavingAccount");
+  (void)engine.RequestGeneralized({"AutoWithdrawal"});
 
   // --- 1 & 2: the paper's motivating (Balance => CardLoan) rules. -------
-  const auto balance_rules = miner.MinePair("Balance", "CardLoan").value();
+  const auto balance_rules = engine.MinePair("Balance", "CardLoan").value();
   std::printf("[1] Largest >=50%%-confident balance cluster (optimized "
               "support):\n    %s\n\n",
               balance_rules[1].ToString().c_str());
@@ -44,19 +48,19 @@ int main() {
               "confidence):\n    %s\n\n",
               balance_rules[0].ToString().c_str());
 
-  // Age is a weaker predictor; the miner quantifies that too.
-  const auto age_rules = miner.MinePair("Age", "CardLoan").value();
+  // Age is a weaker predictor; the engine quantifies that too.
+  const auto age_rules = engine.MinePair("Age", "CardLoan").value();
   std::printf("    For comparison, Age-based rule: %s\n\n",
               age_rules[0].ToString().c_str());
 
   // --- 3: Section 5 average-operator queries. ---------------------------
   const auto rich_band =
-      miner.MineMaximumAverageRange("CheckingAccount", "SavingAccount", 0.10)
+      engine.MineMaximumAverageRange("CheckingAccount", "SavingAccount", 0.10)
           .value();
   std::printf("[3a] Maximum-average range (Example 5.2):\n     %s\n",
               rich_band.ToString().c_str());
   const auto wide_band =
-      miner.MineMaximumSupportRange("CheckingAccount", "SavingAccount",
+      engine.MineMaximumSupportRange("CheckingAccount", "SavingAccount",
                                     12000.0)
           .value();
   std::printf("[3b] Maximum-support range with avg(SavingAccount) >= "
@@ -65,7 +69,7 @@ int main() {
 
   // --- 4: generalized rule (Section 4.3). --------------------------------
   const auto generalized =
-      miner.MineGeneralized("Balance", {"AutoWithdrawal"}, "CardLoan")
+      engine.MineGeneralized("Balance", {"AutoWithdrawal"}, "CardLoan")
           .value();
   std::printf("[4] Conditioned on AutoWithdrawal users:\n    %s\n",
               generalized[0].ToString().c_str());

@@ -58,8 +58,8 @@ int main(int argc, char** argv) {
   options.num_buckets = 500;
   options.min_support = 0.05;
   options.min_confidence = 0.5;
-  optrules::rules::Miner miner(&relation, options);
-  const std::vector<optrules::rules::MinedRule> mined = miner.MineAll();
+  optrules::rules::MiningEngine engine(&relation, options);
+  const std::vector<optrules::rules::MinedRule> mined = engine.MineAllPairs();
 
   const std::vector<optrules::report::RankedRule> ranked =
       optrules::report::RankByLift(mined, relation);

@@ -3,8 +3,8 @@
 //
 //   $ ./quickstart
 //
-// Steps: generate data -> construct a Miner -> ask for the optimized
-// confidence and optimized support rules of (Balance => CardLoan).
+// Steps: generate data -> construct a MiningEngine -> ask for the
+// optimized confidence and optimized support rules of (Balance => CardLoan).
 
 #include <cstdio>
 
@@ -27,10 +27,11 @@ int main() {
   options.num_buckets = 1000;
   options.min_support = 0.10;
   options.min_confidence = 0.50;
-  optrules::rules::Miner miner(&customers, options);
+  optrules::rules::MiningEngine engine(&customers, options);
 
-  // 3. Mine the two optimized rules for (Balance => CardLoan).
-  const auto rules = miner.MinePair("Balance", "CardLoan");
+  // 3. Mine the two optimized rules for (Balance => CardLoan); the first
+  //    query runs the one shared bucket-counting scan.
+  const auto rules = engine.MinePair("Balance", "CardLoan");
   if (!rules.ok()) {
     std::fprintf(stderr, "mining failed: %s\n",
                  rules.status().ToString().c_str());

@@ -22,17 +22,19 @@ int main() {
   options.num_buckets = 500;
   options.min_support = 0.05;
   options.min_confidence = 0.40;
-  optrules::rules::Miner miner(&transactions, options);
+  optrules::rules::MiningEngine engine(&transactions, options);
+  // The generalized condition rides along in the one counting scan.
+  (void)engine.RequestGeneralized({"Pizza", "Coke"});
 
   // The planted association: a mid spend band loves Coke.
-  const auto spend_coke = miner.MinePair("TotalSpend", "Coke").value();
+  const auto spend_coke = engine.MinePair("TotalSpend", "Coke").value();
   std::printf("Spend band that buys Coke (optimized confidence):\n  %s\n\n",
               spend_coke[0].ToString().c_str());
 
   // Generalized rule in the spirit of (Pizza ^ Coke) => Potato, localized
   // to a spend range.
   const auto snack_rule =
-      miner.MineGeneralized("TotalSpend", {"Pizza", "Coke"}, "Potato")
+      engine.MineGeneralized("TotalSpend", {"Pizza", "Coke"}, "Potato")
           .value();
   std::printf("Generalized rule (Section 4.3):\n  %s\n\n",
               snack_rule[0].ToString().c_str());
@@ -43,7 +45,7 @@ int main() {
               transactions.schema().num_numeric(),
               transactions.schema().num_boolean());
   int printed = 0;
-  for (const optrules::rules::MinedRule& rule : miner.MineAll()) {
+  for (const optrules::rules::MinedRule& rule : engine.MineAllPairs()) {
     if (!rule.found) continue;
     if (rule.kind != optrules::rules::RuleKind::kOptimizedConfidence) {
       continue;

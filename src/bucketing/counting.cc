@@ -167,62 +167,6 @@ size_t CompactByU(std::span<const int64_t> u, MoveRow&& move_row) {
 
 }  // namespace
 
-BucketCounts CountBuckets(
-    std::span<const double> values,
-    std::span<const std::vector<uint8_t>* const> targets,
-    const BucketBoundaries& boundaries) {
-  BucketCounts counts = MakeEmptyCounts(boundaries.num_buckets(),
-                                        static_cast<int>(targets.size()));
-  for (const std::vector<uint8_t>* target : targets) {
-    OPTRULES_CHECK(target != nullptr);
-    OPTRULES_CHECK(target->size() == values.size());
-  }
-  for (size_t row = 0; row < values.size(); ++row) {
-    const int bucket = boundaries.Locate(values[row]);
-    if (bucket == BucketBoundaries::kNoBucket) continue;  // NaN: no bucket
-    ++counts.u[static_cast<size_t>(bucket)];
-    UpdateMinMax(&counts, bucket, values[row]);
-    for (size_t t = 0; t < targets.size(); ++t) {
-      if ((*targets[t])[row] != 0) {
-        ++counts.v[t][static_cast<size_t>(bucket)];
-      }
-    }
-  }
-  // NaN rows still count toward the support denominator N.
-  counts.total_tuples = static_cast<int64_t>(values.size());
-  return counts;
-}
-
-BucketCounts CountBuckets(std::span<const double> values,
-                          const std::vector<uint8_t>& target,
-                          const BucketBoundaries& boundaries) {
-  const std::vector<uint8_t>* targets[] = {&target};
-  return CountBuckets(values, targets, boundaries);
-}
-
-BucketCounts CountBucketsConditional(std::span<const double> values,
-                                     std::span<const uint8_t> condition1,
-                                     std::span<const uint8_t> condition2,
-                                     const BucketBoundaries& boundaries) {
-  OPTRULES_CHECK(condition1.size() == values.size());
-  OPTRULES_CHECK(condition2.size() == values.size());
-  BucketCounts counts = MakeEmptyCounts(boundaries.num_buckets(), 1);
-  for (size_t row = 0; row < values.size(); ++row) {
-    if (condition1[row] == 0) continue;
-    const int bucket = boundaries.Locate(values[row]);
-    if (bucket == BucketBoundaries::kNoBucket) continue;  // NaN: no bucket
-    ++counts.u[static_cast<size_t>(bucket)];
-    UpdateMinMax(&counts, bucket, values[row]);
-    if (condition2[row] != 0) {
-      ++counts.v[0][static_cast<size_t>(bucket)];
-    }
-  }
-  // N stays the full table size: the support of a generalized rule is
-  // measured against all tuples (Definition 2.2).
-  counts.total_tuples = static_cast<int64_t>(values.size());
-  return counts;
-}
-
 void CompactEmptyBuckets(BucketCounts* counts) {
   OPTRULES_CHECK(counts != nullptr);
   const size_t kept = CompactByU(counts->u, [counts](size_t w, size_t r) {
@@ -463,8 +407,8 @@ void MultiCountPlan::AccumulateChannel(const storage::ColumnarBatch& batch,
     }
   }
   // One Neumaier-compensated sum pass per sum target (row order fixed, so
-  // the serial chain is bit-identical to the compensated reference
-  // kernel).
+  // the serial chain is bit-identical to the compensated reference kernel
+  // in tests/reference/kernels.h).
   for (size_t k = 0; k < channel.sum_targets.size(); ++k) {
     const std::span<const double> target =
         batch.numeric(channel.sum_targets[k]);
@@ -813,38 +757,6 @@ Status MultiCountPlan::LoadPartialState(std::span<const uint8_t> bytes) {
     return Status::Corruption("trailing bytes in partial plan state");
   }
   return Status::Ok();
-}
-
-BucketSums CountBucketSums(std::span<const double> values,
-                           std::span<const double> target,
-                           const BucketBoundaries& boundaries) {
-  OPTRULES_CHECK(target.size() == values.size());
-  const int m = boundaries.num_buckets();
-  BucketSums sums;
-  sums.u.assign(static_cast<size_t>(m), 0);
-  sums.sum.assign(static_cast<size_t>(m), 0.0);
-  // Neumaier compensation terms, folded into sums.sum before returning so
-  // this reference kernel is bit-identical to the compensated plan path.
-  std::vector<double> comp(static_cast<size_t>(m), 0.0);
-  sums.min_value.assign(static_cast<size_t>(m),
-                        std::numeric_limits<double>::quiet_NaN());
-  sums.max_value.assign(static_cast<size_t>(m),
-                        std::numeric_limits<double>::quiet_NaN());
-  for (size_t row = 0; row < values.size(); ++row) {
-    const int located = boundaries.Locate(values[row]);
-    if (located == BucketBoundaries::kNoBucket) continue;  // NaN: no bucket
-    const auto bucket = static_cast<size_t>(located);
-    ++sums.u[bucket];
-    NeumaierAdd(target[row], sums.sum[bucket], comp[bucket]);
-    double& lo = sums.min_value[bucket];
-    double& hi = sums.max_value[bucket];
-    if (std::isnan(lo) || values[row] < lo) lo = values[row];
-    if (std::isnan(hi) || values[row] > hi) hi = values[row];
-  }
-  for (size_t b = 0; b < sums.sum.size(); ++b) sums.sum[b] += comp[b];
-  // NaN rows still count toward the support denominator N.
-  sums.total_tuples = static_cast<int64_t>(values.size());
-  return sums;
 }
 
 double RangeMinValue(const BucketSums& sums, int s, int t) {

@@ -34,25 +34,6 @@ struct BucketCounts {
   int num_targets() const { return static_cast<int>(v.size()); }
 };
 
-/// Counts one in-memory column against one or more Boolean target columns.
-/// Every target span must have the same length as `values`.
-BucketCounts CountBuckets(std::span<const double> values,
-                          std::span<const std::vector<uint8_t>* const> targets,
-                          const BucketBoundaries& boundaries);
-
-/// Convenience overload for a single target column.
-BucketCounts CountBuckets(std::span<const double> values,
-                          const std::vector<uint8_t>& target,
-                          const BucketBoundaries& boundaries);
-
-/// Generalized-rule counting (Section 4.3): u_i counts tuples meeting the
-/// presumptive Boolean condition C1, v_i those meeting C1 and C2.
-/// `condition1` / `condition2` are 0/1 masks over rows.
-BucketCounts CountBucketsConditional(std::span<const double> values,
-                                     std::span<const uint8_t> condition1,
-                                     std::span<const uint8_t> condition2,
-                                     const BucketBoundaries& boundaries);
-
 /// Removes empty buckets in place (the rule algorithms require u_i >= 1).
 /// Bucket order and all parallel arrays are preserved.
 void CompactEmptyBuckets(BucketCounts* counts);
@@ -333,12 +314,6 @@ class MultiCountPlan {
 /// result on the BatchSource before a counting scan and add the readers'
 /// pruned_rows() back via MultiCountPlan::AddSkippedRows.
 storage::ScanPruneSpec DerivePruneSpec(const MultiCountSpec& spec);
-
-/// Counts buckets of `values` (attribute A) while summing `target`
-/// (attribute B) per bucket. Spans must be equal length.
-BucketSums CountBucketSums(std::span<const double> values,
-                           std::span<const double> target,
-                           const BucketBoundaries& boundaries);
 
 /// Removes empty buckets from a BucketSums in place.
 void CompactEmptyBuckets(BucketSums* sums);

@@ -22,29 +22,6 @@ GridCounts GridCounts::FromCells(int nx, int ny, std::vector<int64_t> u,
   return grid;
 }
 
-GridCounts BuildGrid(std::span<const double> x_values,
-                     std::span<const double> y_values,
-                     std::span<const uint8_t> target,
-                     const bucketing::BucketBoundaries& x_boundaries,
-                     const bucketing::BucketBoundaries& y_boundaries) {
-  OPTRULES_CHECK(x_values.size() == y_values.size());
-  OPTRULES_CHECK(x_values.size() == target.size());
-  GridCounts grid(x_boundaries.num_buckets(), y_boundaries.num_buckets());
-  for (size_t row = 0; row < x_values.size(); ++row) {
-    const int x = x_boundaries.Locate(x_values[row]);
-    const int y = y_boundaries.Locate(y_values[row]);
-    // NaN coordinates belong to no cell but still count toward N (same
-    // policy as the 1-D kernels).
-    if (x == bucketing::BucketBoundaries::kNoBucket ||
-        y == bucketing::BucketBoundaries::kNoBucket) {
-      grid.AddMissing();
-      continue;
-    }
-    grid.Add(x, y, target[row] != 0);
-  }
-  return grid;
-}
-
 GridCounts FromGridBucketCounts(const bucketing::GridBucketCounts& cells,
                                 int target) {
   OPTRULES_CHECK(0 <= target && target < cells.num_targets());

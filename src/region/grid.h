@@ -9,10 +9,8 @@
 #define OPTRULES_REGION_GRID_H_
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
-#include "bucketing/boundaries.h"
 #include "common/logging.h"
 
 namespace optrules::bucketing {
@@ -73,16 +71,6 @@ class GridCounts {
   std::vector<int64_t> v_;
   int64_t total_tuples_ = 0;
 };
-
-/// Builds an nx-by-ny grid over two numeric columns and a Boolean target.
-/// All spans must have equal length. A row with NaN in either column lands
-/// in no cell but still counts toward total_tuples (the repo-wide NaN
-/// policy, mirrored per axis pair).
-GridCounts BuildGrid(std::span<const double> x_values,
-                     std::span<const double> y_values,
-                     std::span<const uint8_t> target,
-                     const bucketing::BucketBoundaries& x_boundaries,
-                     const bucketing::BucketBoundaries& y_boundaries);
 
 /// The region-miner view of one Boolean target plane of an engine-produced
 /// grid channel (bucketing::MultiCountPlan grid counting): copies cell u

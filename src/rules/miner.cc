@@ -19,23 +19,18 @@ namespace optrules::rules {
 
 namespace {
 
-/// Per-attribute salt decorrelating sampling seeds while keeping the whole
-/// run reproducible; shared by Miner and MiningEngine so their boundaries
-/// are identical.
+std::string FormatDouble(double value) {
+  char buffer[64];
+  std::snprintf(buffer, sizeof(buffer), "%.4g", value);
+  return buffer;
+}
+
+}  // namespace
+
 uint64_t AttributeSalt(int numeric_index) {
   return 0x9e37 * static_cast<uint64_t>(numeric_index);
 }
 
-/// Seed offsets decorrelating the generalized (Section 4.3), aggregate
-/// (Section 5), and region-grid (Section 1.4) bucketings from the plain
-/// per-pair bucketing. Shared by Miner and MiningEngine so their
-/// boundaries are identical.
-constexpr uint64_t kGeneralizedSeedOffset = 0x517c;
-constexpr uint64_t kAggregateSeedOffset = 0xa4f;
-constexpr uint64_t kRegionSeedOffset = 0x2d9b;
-
-/// Renders a conjunction of Boolean attribute names as the rule's
-/// presumptive-condition text ("a=yes ^ b=yes").
 std::string ConditionText(const std::vector<std::string>& condition_attrs) {
   std::string text;
   for (const std::string& name : condition_attrs) {
@@ -45,15 +40,6 @@ std::string ConditionText(const std::vector<std::string>& condition_attrs) {
   return text;
 }
 
-std::string FormatDouble(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.4g", value);
-  return buffer;
-}
-
-/// Shared rule emission: runs both O(M) optimizers over one pair's count
-/// arrays and renders the results as MinedRules. Used by Miner and
-/// MiningEngine so the two paths are bit-identical by construction.
 std::vector<MinedRule> EmitRulesForPair(
     const bucketing::BucketCounts& counts, int target_index,
     const MinerOptions& options, const std::string& numeric_attr,
@@ -93,9 +79,6 @@ std::vector<MinedRule> EmitRulesForPair(
   return mined;
 }
 
-/// Shared Section 5 rendering: assembles a MinedAggregateRange from a
-/// compacted BucketSums and an optimizer result. Used by Miner and
-/// MiningEngine so the two paths are identical by construction.
 MinedAggregateRange ToMinedAggregate(const bucketing::BucketSums& sums,
                                      const RangeAggregate& aggregate,
                                      const std::string& range_attr,
@@ -117,11 +100,6 @@ MinedAggregateRange ToMinedAggregate(const bucketing::BucketSums& sums,
   return mined;
 }
 
-/// Shared Section 1.4 region emission: runs both rectangle optimizers and
-/// the x-monotone gain DP over one grid and assembles the MinedRegion.
-/// Used by Miner and MiningEngine so the two paths are bit-identical by
-/// construction (the engine's grid channel and the legacy
-/// region::BuildGrid pass produce identical grids).
 MinedRegion MineRegionFromGrid(const region::GridCounts& grid,
                                const MinerOptions& options,
                                const std::string& x_attr,
@@ -144,8 +122,6 @@ MinedRegion MineRegionFromGrid(const region::GridCounts& grid,
                 mined.support_rectangle.found || mined.xmonotone_gain.found;
   return mined;
 }
-
-}  // namespace
 
 std::string MinedRegion::ToString() const {
   std::string text = "(" + x_attr + ", " + y_attr + ") in R => (" +
@@ -441,19 +417,59 @@ void MiningEngine::PlanBoundarySets(
 Status MiningEngine::RunCountingScan() {
   const int num_numeric = schema_.num_numeric();
   const auto num_attrs = static_cast<size_t>(num_numeric);
+  const bool base = !prepared_;
+  const size_t new_conditions = conditions_.size() - conditions_counted_;
+  const size_t new_targets = sum_targets_.size() - sum_targets_counted_;
+  const size_t new_pairs = region_pairs_.size() - region_pairs_counted_;
+
+  // One planning pass covers every boundary set the pending channels still
+  // miss: the base set on the first scan, the decorrelated generalized /
+  // aggregate sets on first use, and each region bucket count whose
+  // planned columns do not cover its registered pairs (one request per
+  // count, masked to the columns that use it). Until the first scan
+  // succeeds every set is re-planned, exactly like the original attempt.
+  std::vector<BoundarySetRequest> requests;
+  std::vector<std::vector<bucketing::BucketBoundaries>*> outs;
+  if (base) {
+    requests.push_back({0, options_.num_buckets, {}});
+    outs.push_back(&boundaries_);
+  }
+  if (new_conditions > 0 && (base || generalized_boundaries_.empty())) {
+    requests.push_back({kGeneralizedSeedOffset, options_.num_buckets, {}});
+    outs.push_back(&generalized_boundaries_);
+  }
+  if (new_targets > 0 && (base || aggregate_boundaries_.empty())) {
+    requests.push_back({kAggregateSeedOffset, options_.num_buckets, {}});
+    outs.push_back(&aggregate_boundaries_);
+  }
+  if (new_pairs > 0) {
+    for (const auto& [count, mask] : RegionColumnMasks()) {
+      std::vector<uint8_t>& planned = region_planned_[count];
+      if (!base && planned == mask) continue;
+      planned = mask;
+      requests.push_back({kRegionSeedOffset, count, mask});
+      outs.push_back(&region_boundaries_[count]);
+    }
+  }
+  if (!requests.empty()) PlanBoundarySets(requests, outs);
+
+  // ONE scan over the base channels (first scan only) plus every pending
+  // registration; counted registrations are never scanned again.
   bucketing::MultiCountSpec spec;
   spec.num_targets = schema_.num_boolean();
-  spec.conditions = conditions_;
+  spec.conditions.assign(conditions_.begin() + conditions_counted_,
+                         conditions_.end());
   // Base channels: every numeric attribute against every Boolean target.
-  for (int a = 0; a < num_numeric; ++a) {
+  for (int a = 0; base && a < num_numeric; ++a) {
     bucketing::CountChannel channel;
     channel.column = a;
     channel.boundaries = &boundaries_[static_cast<size_t>(a)];
     spec.channels.push_back(std::move(channel));
   }
-  // Conditional channels (Section 4.3): every registered condition times
-  // every numeric attribute, over the generalized boundary set.
-  for (size_t c = 0; c < conditions_.size(); ++c) {
+  // Conditional channels (Section 4.3): every pending condition times every
+  // numeric attribute, over the generalized boundary set.
+  const size_t conditional_base = spec.channels.size();
+  for (size_t c = 0; c < new_conditions; ++c) {
     for (int a = 0; a < num_numeric; ++a) {
       bucketing::CountChannel channel;
       channel.column = a;
@@ -463,23 +479,23 @@ Status MiningEngine::RunCountingScan() {
     }
   }
   // Sum channels (Section 5): per range attribute, one channel summing
-  // every registered target over the aggregate boundary set.
+  // every pending target over the aggregate boundary set.
   const size_t aggregate_base = spec.channels.size();
-  if (!sum_targets_.empty()) {
-    for (int a = 0; a < num_numeric; ++a) {
-      bucketing::CountChannel channel;
-      channel.column = a;
-      channel.boundaries = &aggregate_boundaries_[static_cast<size_t>(a)];
-      channel.count_targets = false;
-      channel.sum_targets = sum_targets_;
-      spec.channels.push_back(std::move(channel));
-    }
+  for (int a = 0; new_targets > 0 && a < num_numeric; ++a) {
+    bucketing::CountChannel channel;
+    channel.column = a;
+    channel.boundaries = &aggregate_boundaries_[static_cast<size_t>(a)];
+    channel.count_targets = false;
+    channel.sum_targets.assign(sum_targets_.begin() + sum_targets_counted_,
+                               sum_targets_.end());
+    spec.channels.push_back(std::move(channel));
   }
-  // Grid channels (Section 1.4): one per registered region pair, each
-  // axis over the region boundary set of that axis' bucket count (nx for
-  // x, ny for y -- rectangular pairs are first-class). Pairs sharing an
-  // (axis, count) share its locate group inside the plan.
-  for (const RegionPair& pair : region_pairs_) {
+  // Grid channels (Section 1.4): one per pending region pair, each axis
+  // over the region boundary set of that axis' bucket count (nx for x, ny
+  // for y -- rectangular pairs are first-class). Pairs sharing an (axis,
+  // count) share its locate group inside the plan.
+  for (size_t p = region_pairs_counted_; p < region_pairs_.size(); ++p) {
+    const RegionPair& pair = region_pairs_[p];
     bucketing::GridChannel channel;
     channel.x_column = pair.x;
     channel.x_boundaries = &RegionBoundary(pair.nx, pair.x);
@@ -492,41 +508,41 @@ Status MiningEngine::RunCountingScan() {
   OPTRULES_RETURN_IF_ERROR(ExecuteCount(&plan));
   ++counting_scans_;
 
-  counts_.reserve(num_attrs);
-  for (int a = 0; a < num_numeric; ++a) {
-    counts_.push_back(plan.TakeCounts(a));
-    bucketing::CompactEmptyBuckets(&counts_.back());
-  }
-  generalized_counts_.resize(conditions_.size());
-  for (size_t c = 0; c < conditions_.size(); ++c) {
-    generalized_counts_[c].reserve(num_attrs);
+  if (base) {
+    counts_.reserve(num_attrs);
     for (int a = 0; a < num_numeric; ++a) {
-      const size_t channel = num_attrs * (c + 1) + static_cast<size_t>(a);
-      generalized_counts_[c].push_back(
-          plan.TakeCounts(static_cast<int>(channel)));
-      bucketing::CompactEmptyBuckets(&generalized_counts_[c].back());
+      counts_.push_back(plan.TakeCounts(a));
+      bucketing::CompactEmptyBuckets(&counts_.back());
     }
   }
-  aggregate_sums_.assign(num_attrs, {});
-  hull_contexts_.clear();  // derived from the sums being replaced
-  if (!sum_targets_.empty()) {
-    for (int a = 0; a < num_numeric; ++a) {
-      const auto channel =
-          static_cast<int>(aggregate_base + static_cast<size_t>(a));
-      auto& per_target = aggregate_sums_[static_cast<size_t>(a)];
-      per_target.reserve(sum_targets_.size());
-      for (size_t k = 0; k < sum_targets_.size(); ++k) {
-        per_target.push_back(
-            plan.TakeBucketSums(channel, static_cast<int>(k)));
+  for (size_t c = 0; c < new_conditions; ++c) {
+    std::vector<bucketing::BucketCounts>& per_attr =
+        generalized_counts_.emplace_back();
+    per_attr.reserve(num_attrs);
+    for (size_t a = 0; a < num_attrs; ++a) {
+      per_attr.push_back(plan.TakeCounts(
+          static_cast<int>(conditional_base + num_attrs * c + a)));
+      bucketing::CompactEmptyBuckets(&per_attr.back());
+    }
+  }
+  if (new_targets > 0) {
+    aggregate_sums_.resize(num_attrs);
+    for (size_t a = 0; a < num_attrs; ++a) {
+      std::vector<bucketing::BucketSums>& per_target = aggregate_sums_[a];
+      for (size_t k = 0; k < new_targets; ++k) {
+        per_target.push_back(plan.TakeBucketSums(
+            static_cast<int>(aggregate_base + a), static_cast<int>(k)));
         bucketing::CompactEmptyBuckets(&per_target.back());
       }
     }
   }
-  region_grids_.clear();
-  region_grids_.reserve(region_pairs_.size());
-  for (size_t p = 0; p < region_pairs_.size(); ++p) {
+  for (size_t p = 0; p < new_pairs; ++p) {
     region_grids_.push_back(plan.TakeGridCounts(static_cast<int>(p)));
   }
+  prepared_ = true;
+  conditions_counted_ = conditions_.size();
+  sum_targets_counted_ = sum_targets_.size();
+  region_pairs_counted_ = region_pairs_.size();
   return Status::Ok();
 }
 
@@ -548,39 +564,21 @@ Status MiningEngine::TryPrepare() {
   OPTRULES_CHECK(0.0 <= options_.min_confidence &&
                  options_.min_confidence <= 1.0);
   // Partitions that vanished since the table was opened must fail softly
-  // here; the planning stream below treats a partition disappearing
-  // MID-scan as fatal, so the window is re-validated up front.
+  // here; the planning stream treats a partition disappearing MID-scan as
+  // fatal, so the window is re-validated up front.
   if (partitioned_ != nullptr) {
     OPTRULES_RETURN_IF_ERROR(partitioned_->Validate());
   }
-  // One planning pass covers the base boundaries plus the decorrelated
-  // generalized / aggregate / region sets the session has registered so
-  // far.
-  std::vector<BoundarySetRequest> requests = {{0, options_.num_buckets, {}}};
-  std::vector<std::vector<bucketing::BucketBoundaries>*> outs = {
-      &boundaries_};
-  if (!conditions_.empty()) {
-    requests.push_back({kGeneralizedSeedOffset, options_.num_buckets, {}});
-    outs.push_back(&generalized_boundaries_);
+  return RunCountingScan();
+}
+
+Result<int> MiningEngine::Counted(size_t index, size_t counted) {
+  // A registration after the shared scan costs one supplemental scan at
+  // once; registered before, it rides along in the first scan for free.
+  if (prepared_ && index >= counted) {
+    OPTRULES_RETURN_IF_ERROR(RunCountingScan());
   }
-  if (!sum_targets_.empty()) {
-    requests.push_back({kAggregateSeedOffset, options_.num_buckets, {}});
-    outs.push_back(&aggregate_boundaries_);
-  }
-  if (!region_pairs_.empty()) {
-    // One request per distinct grid bucket count (rectangular pairs plan
-    // their x axis at nx and y axis at ny), each masked to the columns
-    // that actually use it.
-    region_planned_ = RegionColumnMasks();
-    for (auto& [count, mask] : region_planned_) {
-      requests.push_back({kRegionSeedOffset, count, mask});
-      outs.push_back(&region_boundaries_[count]);
-    }
-  }
-  PlanBoundarySets(requests, outs);
-  OPTRULES_RETURN_IF_ERROR(RunCountingScan());
-  prepared_ = true;
-  return Status::Ok();
+  return static_cast<int>(index);
 }
 
 std::map<int, std::vector<uint8_t>> MiningEngine::RegionColumnMasks() const {
@@ -618,7 +616,7 @@ Result<std::vector<MinedRule>> MiningEngine::MinePair(
   if (!numeric_index.ok()) return numeric_index.status();
   const Result<int> boolean_index = schema_.BooleanIndexOf(boolean_attr);
   if (!boolean_index.ok()) return boolean_index.status();
-  Prepare();
+  OPTRULES_RETURN_IF_ERROR(TryPrepare());
   return EmitRulesForPair(
       counts_[static_cast<size_t>(numeric_index.value())],
       boolean_index.value(), options_, numeric_attr, boolean_attr);
@@ -664,104 +662,20 @@ Result<int> MiningEngine::EnsureCondition(
   // still follows the caller's per-query attribute order.
   std::sort(indices.begin(), indices.end());
   indices.erase(std::unique(indices.begin(), indices.end()), indices.end());
-  for (size_t c = 0; c < conditions_.size(); ++c) {
-    if (conditions_[c] == indices) return static_cast<int>(c);
-  }
-  conditions_.push_back(std::move(indices));
-  const int condition = static_cast<int>(conditions_.size()) - 1;
-  // A condition registered after the shared scan costs one supplemental
-  // scan; registered before, it rides along for free. A failed
-  // supplemental scan rolls the registration back so a retry re-scans.
-  if (prepared_) {
-    const Status status = AddConditionChannels(condition);
-    if (!status.ok()) {
-      conditions_.pop_back();
-      return status;
-    }
-  }
-  return condition;
+  const auto found = std::find(conditions_.begin(), conditions_.end(), indices);
+  const auto c = static_cast<size_t>(found - conditions_.begin());
+  if (found == conditions_.end()) conditions_.push_back(std::move(indices));
+  return Counted(c, conditions_counted_);
 }
 
 Result<int> MiningEngine::EnsureSumTarget(const std::string& name) {
   const Result<int> index = schema_.NumericIndexOf(name);
   if (!index.ok()) return index.status();
-  for (size_t k = 0; k < sum_targets_.size(); ++k) {
-    if (sum_targets_[k] == index.value()) return static_cast<int>(k);
-  }
-  sum_targets_.push_back(index.value());
-  const int k = static_cast<int>(sum_targets_.size()) - 1;
-  if (prepared_) {
-    const Status status = AddSumTargetChannels(index.value());
-    if (!status.ok()) {
-      sum_targets_.pop_back();
-      return status;
-    }
-  }
-  return k;
-}
-
-Status MiningEngine::AddConditionChannels(int condition_index) {
-  if (generalized_boundaries_.empty()) {
-    const BoundarySetRequest requests[] = {
-        {kGeneralizedSeedOffset, options_.num_buckets, {}}};
-    std::vector<bucketing::BucketBoundaries>* outs[] = {
-        &generalized_boundaries_};
-    PlanBoundarySets(requests, outs);
-  }
-  bucketing::MultiCountSpec spec;
-  spec.num_targets = schema_.num_boolean();
-  spec.conditions = {
-      conditions_[static_cast<size_t>(condition_index)]};
-  for (int a = 0; a < schema_.num_numeric(); ++a) {
-    bucketing::CountChannel channel;
-    channel.column = a;
-    channel.boundaries = &generalized_boundaries_[static_cast<size_t>(a)];
-    channel.condition = 0;
-    spec.channels.push_back(std::move(channel));
-  }
-  bucketing::MultiCountPlan plan(std::move(spec));
-  OPTRULES_RETURN_IF_ERROR(ExecuteCount(&plan));
-  ++counting_scans_;
-  generalized_counts_.emplace_back();
-  generalized_counts_.back().reserve(
-      static_cast<size_t>(schema_.num_numeric()));
-  for (int a = 0; a < schema_.num_numeric(); ++a) {
-    generalized_counts_.back().push_back(plan.TakeCounts(a));
-    bucketing::CompactEmptyBuckets(&generalized_counts_.back().back());
-  }
-  return Status::Ok();
-}
-
-Status MiningEngine::AddSumTargetChannels(int target) {
-  if (aggregate_boundaries_.empty()) {
-    const BoundarySetRequest requests[] = {
-        {kAggregateSeedOffset, options_.num_buckets, {}}};
-    std::vector<bucketing::BucketBoundaries>* outs[] = {
-        &aggregate_boundaries_};
-    PlanBoundarySets(requests, outs);
-  }
-  bucketing::MultiCountSpec spec;
-  spec.num_targets = schema_.num_boolean();
-  for (int a = 0; a < schema_.num_numeric(); ++a) {
-    bucketing::CountChannel channel;
-    channel.column = a;
-    channel.boundaries = &aggregate_boundaries_[static_cast<size_t>(a)];
-    channel.count_targets = false;
-    channel.sum_targets = {target};
-    spec.channels.push_back(std::move(channel));
-  }
-  bucketing::MultiCountPlan plan(std::move(spec));
-  OPTRULES_RETURN_IF_ERROR(ExecuteCount(&plan));
-  ++counting_scans_;
-  if (aggregate_sums_.empty()) {
-    aggregate_sums_.assign(static_cast<size_t>(schema_.num_numeric()), {});
-  }
-  for (int a = 0; a < schema_.num_numeric(); ++a) {
-    auto& per_target = aggregate_sums_[static_cast<size_t>(a)];
-    per_target.push_back(plan.TakeBucketSums(a, 0));
-    bucketing::CompactEmptyBuckets(&per_target.back());
-  }
-  return Status::Ok();
+  const auto found =
+      std::find(sum_targets_.begin(), sum_targets_.end(), index.value());
+  const auto k = static_cast<size_t>(found - sum_targets_.begin());
+  if (found == sum_targets_.end()) sum_targets_.push_back(index.value());
+  return Counted(k, sum_targets_counted_);
 }
 
 Result<int> MiningEngine::EnsureRegionPair(const std::string& x_attr,
@@ -775,22 +689,11 @@ Result<int> MiningEngine::EnsureRegionPair(const std::string& x_attr,
   const Result<int> y = schema_.NumericIndexOf(y_attr);
   if (!y.ok()) return y.status();
   const RegionPair pair{x.value(), y.value(), nx, ny};
-  for (size_t p = 0; p < region_pairs_.size(); ++p) {
-    if (region_pairs_[p] == pair) return static_cast<int>(p);
-  }
-  region_pairs_.push_back(pair);
-  const int index = static_cast<int>(region_pairs_.size()) - 1;
-  // A pair registered after the shared scan costs one supplemental scan;
-  // registered before, its grid channel rides along for free (failed
-  // supplemental scans roll the registration back).
-  if (prepared_) {
-    const Status status = AddRegionChannel(index);
-    if (!status.ok()) {
-      region_pairs_.pop_back();
-      return status;
-    }
-  }
-  return index;
+  const auto found =
+      std::find(region_pairs_.begin(), region_pairs_.end(), pair);
+  const auto p = static_cast<size_t>(found - region_pairs_.begin());
+  if (found == region_pairs_.end()) region_pairs_.push_back(pair);
+  return Counted(p, region_pairs_counted_);
 }
 
 int MiningEngine::FindRegionPair(int x, int y) const {
@@ -800,42 +703,6 @@ int MiningEngine::FindRegionPair(int x, int y) const {
     }
   }
   return -1;
-}
-
-Status MiningEngine::AddRegionChannel(int pair_index) {
-  const RegionPair& pair = region_pairs_[static_cast<size_t>(pair_index)];
-  // Re-plan a region set when its bucket count has never been planned or
-  // the late pair buckets a column outside that count's planned mask
-  // (each column's boundaries are derived independently, so columns
-  // already planned come out identical).
-  const auto ensure_planned = [this](int count, int column) {
-    std::vector<uint8_t>& planned = region_planned_[count];
-    if (!planned.empty() && planned[static_cast<size_t>(column)] != 0) {
-      return;
-    }
-    std::map<int, std::vector<uint8_t>> masks = RegionColumnMasks();
-    planned = std::move(masks[count]);
-    const BoundarySetRequest requests[] = {
-        {kRegionSeedOffset, count, planned}};
-    std::vector<bucketing::BucketBoundaries>* outs[] = {
-        &region_boundaries_[count]};
-    PlanBoundarySets(requests, outs);
-  };
-  ensure_planned(pair.nx, pair.x);
-  ensure_planned(pair.ny, pair.y);
-  bucketing::MultiCountSpec spec;
-  spec.num_targets = schema_.num_boolean();
-  bucketing::GridChannel channel;
-  channel.x_column = pair.x;
-  channel.x_boundaries = &RegionBoundary(pair.nx, pair.x);
-  channel.y_column = pair.y;
-  channel.y_boundaries = &RegionBoundary(pair.ny, pair.y);
-  spec.grid_channels.push_back(channel);
-  bucketing::MultiCountPlan plan(std::move(spec));
-  OPTRULES_RETURN_IF_ERROR(ExecuteCount(&plan));
-  ++counting_scans_;
-  region_grids_.push_back(plan.TakeGridCounts(0));
-  return Status::Ok();
 }
 
 Status MiningEngine::RequestGeneralized(
@@ -876,12 +743,14 @@ Result<MinedRegion> MiningEngine::MineOptimizedRegion(
     const Result<int> y = schema_.NumericIndexOf(y_attr);
     if (!y.ok()) return y.status();
     const int found = FindRegionPair(x.value(), y.value());
-    if (found >= 0) return found;
+    if (found >= 0) {
+      return Counted(static_cast<size_t>(found), region_pairs_counted_);
+    }
     return EnsureRegionPair(x_attr, y_attr, options_.region_grid_buckets,
                             options_.region_grid_buckets);
   }();
   if (!pair.ok()) return pair.status();
-  Prepare();
+  OPTRULES_RETURN_IF_ERROR(TryPrepare());
   const region::GridCounts grid = region::FromGridBucketCounts(
       region_grids_[static_cast<size_t>(pair.value())], target.value());
   return MineRegionFromGrid(grid, options_, x_attr, y_attr, target_attr);
@@ -897,7 +766,7 @@ Result<std::vector<MinedRule>> MiningEngine::MineGeneralized(
   if (!objective_index.ok()) return objective_index.status();
   const Result<int> condition = EnsureCondition(condition_attrs);
   if (!condition.ok()) return condition.status();
-  Prepare();
+  OPTRULES_RETURN_IF_ERROR(TryPrepare());
   const bucketing::BucketCounts& counts =
       generalized_counts_[static_cast<size_t>(condition.value())]
                          [static_cast<size_t>(numeric_index.value())];
@@ -935,7 +804,7 @@ Result<MinedAggregateRange> MiningEngine::MineMaximumAverageRange(
   if (!range_index.ok()) return range_index.status();
   const Result<int> target = EnsureSumTarget(target_attr);
   if (!target.ok()) return target.status();
-  Prepare();
+  OPTRULES_RETURN_IF_ERROR(TryPrepare());
   const bucketing::BucketSums& sums =
       SumsFor(range_index.value(), target.value());
   RangeAggregate aggregate;
@@ -961,7 +830,7 @@ Result<MinedAggregateRange> MiningEngine::MineMaximumSupportRange(
   if (!range_index.ok()) return range_index.status();
   const Result<int> target = EnsureSumTarget(target_attr);
   if (!target.ok()) return target.status();
-  Prepare();
+  OPTRULES_RETURN_IF_ERROR(TryPrepare());
   const bucketing::BucketSums& sums =
       SumsFor(range_index.value(), target.value());
   RangeAggregate aggregate;
@@ -969,214 +838,6 @@ Result<MinedAggregateRange> MiningEngine::MineMaximumSupportRange(
     aggregate = MaximumSupportRange(sums.u, sums.sum, min_average);
   }
   return ToMinedAggregate(sums, aggregate, range_attr, target_attr);
-}
-
-// -------------------------------------------------------------- Miner ----
-
-/// Cached per-numeric-attribute bucketing: boundaries are sampled once and
-/// all Boolean targets counted in one scan; empty buckets are compacted.
-struct Miner::AttributeBuckets {
-  bucketing::BucketCounts counts;  // v has one entry per Boolean attribute
-};
-
-Miner::Miner(const storage::Relation* relation, MinerOptions options)
-    : relation_(relation), options_(options) {
-  OPTRULES_CHECK(relation != nullptr);
-  OPTRULES_CHECK(options_.num_buckets >= 1);
-  OPTRULES_CHECK(options_.sample_per_bucket >= 1);
-  OPTRULES_CHECK(0.0 <= options_.min_support && options_.min_support <= 1.0);
-  OPTRULES_CHECK(0.0 <= options_.min_confidence &&
-                 options_.min_confidence <= 1.0);
-  cache_.resize(static_cast<size_t>(relation->schema().num_numeric()));
-}
-
-Miner::~Miner() = default;
-
-const Miner::AttributeBuckets& Miner::BucketsFor(int numeric_index) {
-  auto& slot = cache_[static_cast<size_t>(numeric_index)];
-  if (slot != nullptr) return *slot;
-
-  const std::vector<double>& values =
-      relation_->NumericColumn(numeric_index);
-  const bucketing::BucketBoundaries boundaries = bucketing::BuildBoundaries(
-      values, ToBoundaryPlan(options_), AttributeSalt(numeric_index));
-
-  std::vector<const std::vector<uint8_t>*> targets;
-  targets.reserve(static_cast<size_t>(relation_->schema().num_boolean()));
-  for (int b = 0; b < relation_->schema().num_boolean(); ++b) {
-    targets.push_back(&relation_->BooleanColumn(b));
-  }
-  auto buckets = std::make_unique<AttributeBuckets>();
-  buckets->counts = bucketing::CountBuckets(values, targets, boundaries);
-  bucketing::CompactEmptyBuckets(&buckets->counts);
-  slot = std::move(buckets);
-  return *slot;
-}
-
-Result<std::vector<MinedRule>> Miner::MinePair(
-    const std::string& numeric_attr, const std::string& boolean_attr) {
-  const Result<int> numeric_index =
-      relation_->schema().NumericIndexOf(numeric_attr);
-  if (!numeric_index.ok()) return numeric_index.status();
-  const Result<int> boolean_index =
-      relation_->schema().BooleanIndexOf(boolean_attr);
-  if (!boolean_index.ok()) return boolean_index.status();
-
-  const AttributeBuckets& buckets = BucketsFor(numeric_index.value());
-  return EmitRulesForPair(buckets.counts, boolean_index.value(), options_,
-                          numeric_attr, boolean_attr);
-}
-
-std::vector<MinedRule> Miner::MineAll() {
-  std::vector<MinedRule> all;
-  const storage::Schema& schema = relation_->schema();
-  for (int a = 0; a < schema.num_numeric(); ++a) {
-    for (int b = 0; b < schema.num_boolean(); ++b) {
-      Result<std::vector<MinedRule>> pair =
-          MinePair(schema.NumericName(a), schema.BooleanName(b));
-      OPTRULES_CHECK(pair.ok());
-      for (MinedRule& rule : pair.value()) {
-        all.push_back(std::move(rule));
-      }
-    }
-  }
-  return all;
-}
-
-Result<std::vector<MinedRule>> Miner::MineGeneralized(
-    const std::string& numeric_attr,
-    const std::vector<std::string>& condition_attrs,
-    const std::string& objective_attr) {
-  const Result<int> numeric_index =
-      relation_->schema().NumericIndexOf(numeric_attr);
-  if (!numeric_index.ok()) return numeric_index.status();
-  const Result<int> objective_index =
-      relation_->schema().BooleanIndexOf(objective_attr);
-  if (!objective_index.ok()) return objective_index.status();
-
-  // Materialize the C1 mask (conjunction of the condition attributes).
-  const int64_t n = relation_->NumRows();
-  std::vector<uint8_t> c1(static_cast<size_t>(n), 1);
-  for (const std::string& name : condition_attrs) {
-    const Result<int> index = relation_->schema().BooleanIndexOf(name);
-    if (!index.ok()) return index.status();
-    const std::vector<uint8_t>& column =
-        relation_->BooleanColumn(index.value());
-    for (size_t row = 0; row < c1.size(); ++row) c1[row] &= column[row];
-  }
-
-  const std::vector<double>& values =
-      relation_->NumericColumn(numeric_index.value());
-  bucketing::BoundaryPlan plan = ToBoundaryPlan(options_);
-  // Decorrelate from the plain per-pair bucketing.
-  plan.seed += kGeneralizedSeedOffset;
-  const bucketing::BucketBoundaries boundaries = bucketing::BuildBoundaries(
-      values, plan, AttributeSalt(numeric_index.value()));
-  bucketing::BucketCounts counts = bucketing::CountBucketsConditional(
-      values, c1, relation_->BooleanColumn(objective_index.value()),
-      boundaries);
-  bucketing::CompactEmptyBuckets(&counts);
-
-  std::vector<MinedRule> mined =
-      EmitRulesForPair(counts, 0, options_, numeric_attr, objective_attr);
-  const std::string condition_text = ConditionText(condition_attrs);
-  for (MinedRule& rule : mined) {
-    rule.presumptive_condition = condition_text;
-  }
-  return mined;
-}
-
-namespace {
-
-/// Shared Section 5 setup: buckets of A with per-bucket sums of B.
-Result<bucketing::BucketSums> BuildSums(const storage::Relation& relation,
-                                        const MinerOptions& options,
-                                        const std::string& range_attr,
-                                        const std::string& target_attr) {
-  const Result<int> a = relation.schema().NumericIndexOf(range_attr);
-  if (!a.ok()) return a.status();
-  const Result<int> b = relation.schema().NumericIndexOf(target_attr);
-  if (!b.ok()) return b.status();
-  const std::vector<double>& values = relation.NumericColumn(a.value());
-  bucketing::BoundaryPlan plan = ToBoundaryPlan(options);
-  // Decorrelate from the per-pair bucketing.
-  plan.seed += kAggregateSeedOffset;
-  const bucketing::BucketBoundaries boundaries = bucketing::BuildBoundaries(
-      values, plan, AttributeSalt(a.value()));
-  bucketing::BucketSums sums = bucketing::CountBucketSums(
-      values, relation.NumericColumn(b.value()), boundaries);
-  bucketing::CompactEmptyBuckets(&sums);
-  return sums;
-}
-
-}  // namespace
-
-Result<MinedAggregateRange> Miner::MineMaximumAverageRange(
-    const std::string& range_attr, const std::string& target_attr,
-    double min_support) {
-  Result<bucketing::BucketSums> sums_or =
-      BuildSums(*relation_, options_, range_attr, target_attr);
-  if (!sums_or.ok()) return sums_or.status();
-  const bucketing::BucketSums& sums = sums_or.value();
-  RangeAggregate aggregate;
-  if (!sums.u.empty()) {
-    aggregate = MaximumAverageRange(
-        sums.u, sums.sum, MinSupportCount(sums.total_tuples, min_support));
-  }
-  return ToMinedAggregate(sums, aggregate, range_attr, target_attr);
-}
-
-Result<MinedAggregateRange> Miner::MineMaximumSupportRange(
-    const std::string& range_attr, const std::string& target_attr,
-    double min_average) {
-  Result<bucketing::BucketSums> sums_or =
-      BuildSums(*relation_, options_, range_attr, target_attr);
-  if (!sums_or.ok()) return sums_or.status();
-  const bucketing::BucketSums& sums = sums_or.value();
-  RangeAggregate aggregate;
-  if (!sums.u.empty()) {
-    aggregate = MaximumSupportRange(sums.u, sums.sum, min_average);
-  }
-  return ToMinedAggregate(sums, aggregate, range_attr, target_attr);
-}
-
-Result<MinedRegion> Miner::MineOptimizedRegion(
-    const std::string& x_attr, const std::string& y_attr,
-    const std::string& target_attr) {
-  return MineOptimizedRegion(x_attr, y_attr, target_attr,
-                             options_.region_grid_buckets,
-                             options_.region_grid_buckets);
-}
-
-Result<MinedRegion> Miner::MineOptimizedRegion(
-    const std::string& x_attr, const std::string& y_attr,
-    const std::string& target_attr, int nx, int ny) {
-  const storage::Schema& schema = relation_->schema();
-  const Result<int> x = schema.NumericIndexOf(x_attr);
-  if (!x.ok()) return x.status();
-  const Result<int> y = schema.NumericIndexOf(y_attr);
-  if (!y.ok()) return y.status();
-  const Result<int> target = schema.BooleanIndexOf(target_attr);
-  if (!target.ok()) return target.status();
-  if (nx < 1 || ny < 1) {
-    return Status::InvalidArgument("region grid shape must be >= 1x1");
-  }
-
-  // Same region boundary recipe as the engine: each axis bucketed at its
-  // own count (nx / ny), seed decorrelated by kRegionSeedOffset,
-  // per-attribute salts.
-  bucketing::BoundaryPlan plan = ToBoundaryPlan(options_);
-  plan.seed += kRegionSeedOffset;
-  plan.num_buckets = nx;
-  const bucketing::BucketBoundaries x_boundaries = bucketing::BuildBoundaries(
-      relation_->NumericColumn(x.value()), plan, AttributeSalt(x.value()));
-  plan.num_buckets = ny;
-  const bucketing::BucketBoundaries y_boundaries = bucketing::BuildBoundaries(
-      relation_->NumericColumn(y.value()), plan, AttributeSalt(y.value()));
-  const region::GridCounts grid = region::BuildGrid(
-      relation_->NumericColumn(x.value()), relation_->NumericColumn(y.value()),
-      relation_->BooleanColumn(target.value()), x_boundaries, y_boundaries);
-  return MineRegionFromGrid(grid, options_, x_attr, y_attr, target_attr);
 }
 
 }  // namespace optrules::rules

@@ -1,26 +1,23 @@
-// End-to-end rule miners: the system of Section 1.3.
+// The rule miner: the system of Section 1.3.
 //
-// Two entry points share one pipeline (boundary planning -> bucket
-// counting -> O(M) optimizers):
+// MiningEngine is the batch-execution session. It plans equi-depth
+// boundaries for EVERY numeric attribute up front, then accumulates
+// BucketCounts for every (numeric, Boolean) attribute pair -- plus the
+// conditional channels of registered generalized conditions (Section 4.3),
+// the per-bucket sum channels of registered aggregate targets (Section 5)
+// and the cell grids of registered region pairs (Section 1.4) -- in ONE
+// shared columnar scan of the data (bucketing::MultiCountPlan over a
+// storage::BatchSource, optionally row-sharded over a ThreadPool or fanned
+// out over a partitioned table), and finally answers plain, generalized,
+// aggregate, region and threshold-sweep queries from the cached channels.
+// This is the paper's "complete set of optimized rules for all
+// combinations of hundreds of numeric and Boolean attributes" path: the
+// scan cost is paid once no matter how many queries are answered, in
+// memory or on disk.
 //
-//  * MiningEngine -- the batch-execution session. It plans equi-depth
-//    boundaries for EVERY numeric attribute up front, then accumulates
-//    BucketCounts for every (numeric, Boolean) attribute pair -- plus the
-//    conditional channels of registered generalized conditions (Section
-//    4.3) and the per-bucket sum channels of registered aggregate targets
-//    (Section 5) -- in ONE shared columnar scan of the data
-//    (bucketing::MultiCountPlan over a storage::BatchSource, optionally
-//    partitioned over a ThreadPool), and finally answers plain,
-//    generalized, aggregate, and threshold-sweep queries from the cached
-//    channels. This is the paper's "complete set of optimized rules for
-//    all combinations of hundreds of numeric and Boolean attributes"
-//    path: the scan cost is paid once no matter how many queries are
-//    answered, in memory or on disk.
-//
-//  * Miner -- the legacy reference miner over an in-memory relation. It
-//    buckets lazily, one counting pass per query, and is kept as the
-//    independently-simple implementation the engine is tested against
-//    (their outputs must be bit-identical for every query kind).
+// The emission and seeding helpers at the end of this header are shared
+// with the test-only per-query reference miner (tests/reference/miner.h),
+// which the engine is tested bit-identical against on every query kind.
 
 #ifndef OPTRULES_RULES_MINER_H_
 #define OPTRULES_RULES_MINER_H_
@@ -155,8 +152,8 @@ class MiningEngine {
  public:
   /// Engine over an in-memory relation (which must outlive the engine),
   /// read through a zero-copy RelationBatchSource like any other source.
-  /// Boundaries use the same per-attribute seeds as the legacy Miner, so
-  /// results match it bit-for-bit.
+  /// Boundaries use the same per-attribute seeds as every other source,
+  /// so results match a PagedFile engine over the same rows bit-for-bit.
   MiningEngine(const storage::Relation* relation, MinerOptions options,
                ThreadPool* pool = nullptr);
 
@@ -197,7 +194,9 @@ class MiningEngine {
 
   /// Prepare() with an error path: plans + scans, returning the first
   /// failure (no-op Ok when already prepared). On error the session stays
-  /// unprepared and TryPrepare can be retried. Partition files are
+  /// unprepared and TryPrepare can be retried. The Result-returning Mine*
+  /// calls prepare through here, so they report a failed first scan as
+  /// their Status instead of aborting. Partition files are
   /// re-validated up front, so tables broken BEFORE the call fail softly;
   /// a partition vanishing in the middle of the scan itself remains
   /// fatal (readers have no mid-stream error channel).
@@ -208,7 +207,10 @@ class MiningEngine {
   /// accumulates its conditional channels for every numeric attribute.
   /// MineGeneralized auto-registers, but registering every condition
   /// before the first mining call keeps counting_scans() at 1; a new
-  /// condition after the scan costs one supplemental scan on first use.
+  /// condition after the scan costs one supplemental scan at once, which
+  /// counts only the new channels. A failed supplemental scan returns its
+  /// Status and leaves the registration pending: the next call that needs
+  /// it retries the scan.
   Status RequestGeneralized(const std::vector<std::string>& condition_attrs);
 
   /// Registers a numeric attribute as a Section 5 aggregate target so the
@@ -234,7 +236,7 @@ class MiningEngine {
 
   /// Both optimized rules for every (numeric, Boolean) attribute pair,
   /// in (numeric-major, Boolean-minor) order, confidence rule before
-  /// support rule -- the same order as Miner::MineAll().
+  /// support rule.
   std::vector<MinedRule> MineAllPairs();
 
   /// Threshold sweep from the same cached counts: the full MineAllPairs()
@@ -247,20 +249,18 @@ class MiningEngine {
                                           const std::string& boolean_attr);
 
   /// Generalized rules (Section 4.3), answered from the cached
-  /// conditional channels; bit-identical to Miner::MineGeneralized.
+  /// conditional channels.
   Result<std::vector<MinedRule>> MineGeneralized(
       const std::string& numeric_attr,
       const std::vector<std::string>& condition_attrs,
       const std::string& objective_attr);
 
-  /// Section 5 maximum-average range from the cached sum channels;
-  /// bit-identical to Miner::MineMaximumAverageRange for serial scans.
+  /// Section 5 maximum-average range from the cached sum channels.
   Result<MinedAggregateRange> MineMaximumAverageRange(
       const std::string& range_attr, const std::string& target_attr,
       double min_support);
 
-  /// Section 5 maximum-support range from the cached sum channels;
-  /// bit-identical to Miner::MineMaximumSupportRange for serial scans.
+  /// Section 5 maximum-support range from the cached sum channels.
   Result<MinedAggregateRange> MineMaximumSupportRange(
       const std::string& range_attr, const std::string& target_attr,
       double min_average);
@@ -269,9 +269,9 @@ class MiningEngine {
   /// `(x_attr, y_attr) in R => target_attr`, answered from the cached grid
   /// channel of the shared counting scan: the optimized-confidence and
   /// optimized-support rectangles plus the max-gain x-monotone region.
-  /// Bit-identical to Miner::MineOptimizedRegion. Auto-registers the pair
-  /// (one supplemental scan when it was not pre-registered); any Boolean
-  /// target can be queried against a registered pair at no extra scan.
+  /// Auto-registers the pair (one supplemental scan when it was not
+  /// pre-registered); any Boolean target can be queried against a
+  /// registered pair at no extra scan.
   Result<MinedRegion> MineOptimizedRegion(const std::string& x_attr,
                                           const std::string& y_attr,
                                           const std::string& target_attr);
@@ -344,6 +344,12 @@ class MiningEngine {
   void PlanBoundarySets(
       std::span<const BoundarySetRequest> requests,
       std::span<std::vector<bucketing::BucketBoundaries>* const> out);
+  /// The one counting-scan path. Plans, in one pass, the boundary sets
+  /// (and region columns) the pending registrations still miss, then runs
+  /// ONE scan over the base channels (first call only) plus every
+  /// condition, sum target and region pair past the counted cursors. The
+  /// cursors advance only when the scan succeeds, so a failed scan leaves
+  /// its registrations pending for the next call to retry.
   Status RunCountingScan();
   /// Runs `plan` over exactly one logical scan of the session's data:
   /// ExecuteMultiCount over the source, or -- for a partitioned engine --
@@ -351,7 +357,8 @@ class MiningEngine {
   /// partition failures surface as the returned Status).
   Status ExecuteCount(bucketing::MultiCountPlan* plan);
   /// Resolves + registers a condition; runs a supplemental scan when the
-  /// session is already prepared. Returns the condition's index.
+  /// session is already prepared and the condition is not yet counted.
+  /// Returns the condition's index.
   Result<int> EnsureCondition(const std::vector<std::string>& names);
   /// Resolves + registers an aggregate target; supplemental scan when
   /// already prepared. Returns the target's sum-channel index.
@@ -361,14 +368,13 @@ class MiningEngine {
   /// index.
   Result<int> EnsureRegionPair(const std::string& x_attr,
                                const std::string& y_attr, int nx, int ny);
+  /// `index` of a registration whose counted cursor is `counted`, after
+  /// running the supplemental scan when the session is already prepared
+  /// and the registration is still pending.
+  Result<int> Counted(size_t index, size_t counted);
   /// Index of the first registered pair over (x, y) columns regardless of
   /// grid shape, or -1.
   int FindRegionPair(int x, int y) const;
-  /// Supplemental-scan paths for late registrations; a failed scan is
-  /// returned and the registration rolled back by the caller.
-  Status AddConditionChannels(int condition_index);
-  Status AddSumTargetChannels(int target);
-  Status AddRegionChannel(int pair_index);
   /// Per distinct region bucket count, the mask of numeric columns some
   /// registered pair buckets at that count (x axes contribute their nx,
   /// y axes their ny).
@@ -406,6 +412,11 @@ class MiningEngine {
   std::vector<std::vector<int>> conditions_;
   std::vector<int> sum_targets_;
   std::vector<RegionPair> region_pairs_;
+  /// How many of each registration list the scans so far have counted;
+  /// entries past a cursor are pending for the next RunCountingScan.
+  size_t conditions_counted_ = 0;
+  size_t sum_targets_counted_ = 0;
+  size_t region_pairs_counted_ = 0;
   /// Boundary sets: base per attribute, plus the decorrelated generalized
   /// / aggregate / region sets (planned only when the session uses them).
   std::vector<bucketing::BucketBoundaries> boundaries_;
@@ -416,7 +427,7 @@ class MiningEngine {
   /// per-attribute vector with placeholders for masked-out columns.
   std::map<int, std::vector<bucketing::BucketBoundaries>>
       region_boundaries_;
-  /// Which columns each region set actually planned (a late pair on an
+  /// Which columns each region set actually planned (a pending pair on an
   /// unplanned (count, column) re-plans that count's set).
   std::map<int, std::vector<uint8_t>> region_planned_;
   /// Compacted per-numeric-attribute counts (one v-row per Boolean attr).
@@ -437,82 +448,48 @@ class MiningEngine {
   std::vector<bucketing::GridBucketCounts> region_grids_;
 };
 
-/// Legacy reference miner over an in-memory relation.
-///
-/// The relation must outlive the miner. Bucketings are computed lazily
-/// per numeric attribute and cached, so MineAll() pays one sampling pass
-/// and one counting pass per numeric attribute regardless of the number
-/// of Boolean targets; generalized and aggregate queries re-count per
-/// call. MiningEngine supersedes this for every query kind (one scan
-/// total instead of one per attribute or per query); Miner stays as the
-/// simple reference implementation the engine is tested against.
-class Miner {
- public:
-  Miner(const storage::Relation* relation, MinerOptions options);
-  ~Miner();  // out of line: AttributeBuckets is an incomplete type here
+// ------------------------------------------ shared emission and seeds ----
+// One definition each, used by MiningEngine and by the test-only reference
+// miner, so the two paths are bit-identical by construction.
 
-  /// Both optimized rules for the pair (numeric_attr, boolean_attr).
-  /// Element 0 is the optimized-confidence rule, element 1 the
-  /// optimized-support rule.
-  Result<std::vector<MinedRule>> MinePair(const std::string& numeric_attr,
-                                          const std::string& boolean_attr);
+/// Per-attribute salt decorrelating sampling seeds while keeping the whole
+/// run reproducible.
+uint64_t AttributeSalt(int numeric_index);
 
-  /// Both optimized rules for every (numeric, Boolean) attribute pair.
-  std::vector<MinedRule> MineAll();
+/// Seed offsets decorrelating the generalized (Section 4.3), aggregate
+/// (Section 5), and region-grid (Section 1.4) bucketings from the plain
+/// per-pair bucketing.
+inline constexpr uint64_t kGeneralizedSeedOffset = 0x517c;
+inline constexpr uint64_t kAggregateSeedOffset = 0xa4f;
+inline constexpr uint64_t kRegionSeedOffset = 0x2d9b;
 
-  /// Generalized rules (Section 4.3):
-  /// `(A in I) ^ C1 => C2` where C1 is the conjunction of
-  /// `condition_attrs` being true. Counts u_i over tuples meeting C1 and
-  /// v_i over tuples meeting C1 ^ C2; support stays relative to all
-  /// tuples.
-  Result<std::vector<MinedRule>> MineGeneralized(
-      const std::string& numeric_attr,
-      const std::vector<std::string>& condition_attrs,
-      const std::string& objective_attr);
+/// Renders a conjunction of Boolean attribute names as the rule's
+/// presumptive-condition text ("a=yes ^ b=yes").
+std::string ConditionText(const std::vector<std::string>& condition_attrs);
 
-  /// Section 5: the range of `range_attr` with at least `min_support`
-  /// support maximizing the average of `target_attr`.
-  Result<MinedAggregateRange> MineMaximumAverageRange(
-      const std::string& range_attr, const std::string& target_attr,
-      double min_support);
+/// Runs both O(M) optimizers over one pair's compacted count arrays (v-row
+/// `target_index`) and renders the results as MinedRules: element 0 the
+/// optimized-confidence rule, element 1 the optimized-support rule.
+std::vector<MinedRule> EmitRulesForPair(const bucketing::BucketCounts& counts,
+                                        int target_index,
+                                        const MinerOptions& options,
+                                        const std::string& numeric_attr,
+                                        const std::string& boolean_attr);
 
-  /// Section 5: the range of `range_attr` maximizing support subject to
-  /// the average of `target_attr` being at least `min_average`.
-  Result<MinedAggregateRange> MineMaximumSupportRange(
-      const std::string& range_attr, const std::string& target_attr,
-      double min_average);
+/// Assembles a Section 5 MinedAggregateRange from a compacted BucketSums
+/// and an optimizer result.
+MinedAggregateRange ToMinedAggregate(const bucketing::BucketSums& sums,
+                                     const RangeAggregate& aggregate,
+                                     const std::string& range_attr,
+                                     const std::string& target_attr);
 
-  /// Two-dimensional optimized regions (Section 1.4): builds the
-  /// region_grid_buckets^2 equi-depth grid over (x_attr, y_attr) with a
-  /// private row-at-a-time counting pass (region::BuildGrid) and runs the
-  /// same optimizers as the engine -- the independently-simple reference
-  /// path MiningEngine::MineOptimizedRegion is tested bit-identical
-  /// against.
-  Result<MinedRegion> MineOptimizedRegion(const std::string& x_attr,
-                                          const std::string& y_attr,
-                                          const std::string& target_attr);
-
-  /// Rectangular variant: an explicit nx-by-ny grid (the engine's
-  /// RequestRegionPair(x, y, nx, ny) is tested bit-identical against
-  /// this).
-  Result<MinedRegion> MineOptimizedRegion(const std::string& x_attr,
-                                          const std::string& y_attr,
-                                          const std::string& target_attr,
-                                          int nx, int ny);
-
-  const MinerOptions& options() const { return options_; }
-
- private:
-  struct AttributeBuckets;  // cached bucketing + counts per numeric attr
-
-  /// Returns (building if needed) the cached bucket statistics of numeric
-  /// attribute `numeric_index`.
-  const AttributeBuckets& BucketsFor(int numeric_index);
-
-  const storage::Relation* relation_;
-  MinerOptions options_;
-  std::vector<std::unique_ptr<AttributeBuckets>> cache_;
-};
+/// Runs both rectangle optimizers and the x-monotone gain DP over one
+/// grid and assembles the MinedRegion (Section 1.4).
+MinedRegion MineRegionFromGrid(const region::GridCounts& grid,
+                               const MinerOptions& options,
+                               const std::string& x_attr,
+                               const std::string& y_attr,
+                               const std::string& target_attr);
 
 }  // namespace optrules::rules
 

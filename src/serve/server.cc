@@ -588,80 +588,85 @@ void MiningServer::ExecuteBatch(const EngineKey& key, Batch batch) {
 
   // The coalescing window's span: the shared scan below (dist.scan and
   // its per-partition children) nests under it because TryPrepare runs on
-  // this same scheduler thread.
-  obs::Span window_span("serve.window");
-  window_span.AddAttribute("sessions", static_cast<double>(live.size()));
-  WallTimer window_timer;
-
-  Result<CachedEngine*> cached_or =
-      GetOrCreateEngine(key, live.front().request.options);
-  if (!cached_or.ok()) {
-    for (const PendingSession& session : live) {
-      FailSession(session.conn, session.session_id, cached_or.status());
-    }
-    return;
-  }
-  rules::MiningEngine* engine = cached_or.value()->engine.get();
-  const int64_t scans_before = engine->counting_scans();
-
-  // Register EVERY session's channels before preparing, so one scan
-  // covers the whole window (late channels on an already-prepared cached
-  // engine cost supplemental scans, counted in the delta below).
-  for (const PendingSession& session : live) {
-    for (const ServeQuery& query : session.request.queries) {
-      PreRegisterQuery(engine, query);
-    }
-  }
-  const Status prepared = engine->TryPrepare();
-  if (!prepared.ok()) {
-    // The shared scan itself failed (table vanished, workers dead):
-    // every session of the batch fails, and the engine is dropped so the
-    // next window starts fresh.
-    for (const PendingSession& session : live) {
-      FailSession(session.conn, session.session_id, prepared);
-    }
-    engines_.remove_if([&key](const auto& entry) {
-      return entry.first == key;
-    });
-    return;
-  }
-
+  // this same scheduler thread. The span ends with this block, after the
+  // batch's counters are committed and before the first reply is written,
+  // so a client holding its answer always finds the window in the trace.
   std::vector<SessionReply> replies(live.size());
-  for (size_t i = 0; i < live.size(); ++i) {
-    replies[i].session_id = live[i].session_id;
-    replies[i].generation = key.generation;
-    replies[i].answers.reserve(live[i].request.queries.size());
-    for (const ServeQuery& query : live[i].request.queries) {
-      replies[i].answers.push_back(AnswerQuery(engine, query));
-    }
-  }
-  const int64_t scan_delta = engine->counting_scans() - scans_before;
-
-  // Commit the batch's counters BEFORE shipping replies: a client holding
-  // its answer must see a stats snapshot that includes the batch that
-  // produced it (the load harness and tests read stats immediately after
-  // a reply). Write failures are re-classified below.
+  int64_t scan_delta = 0;
   {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.sessions_served += static_cast<int64_t>(live.size());
-    stats_.physical_scans += scan_delta;
-    stats_.coalesced_sessions +=
-        std::max<int64_t>(0, static_cast<int64_t>(live.size()) - scan_delta);
-    ++stats_.batches_executed;
-    stats_.engines_cached = static_cast<int64_t>(engines_.size());
+    obs::Span window_span("serve.window");
+    window_span.AddAttribute("sessions", static_cast<double>(live.size()));
+    WallTimer window_timer;
+
+    Result<CachedEngine*> cached_or =
+        GetOrCreateEngine(key, live.front().request.options);
+    if (!cached_or.ok()) {
+      for (const PendingSession& session : live) {
+        FailSession(session.conn, session.session_id, cached_or.status());
+      }
+      return;
+    }
+    rules::MiningEngine* engine = cached_or.value()->engine.get();
+    const int64_t scans_before = engine->counting_scans();
+
+    // Register EVERY session's channels before preparing, so one scan
+    // covers the whole window (late channels on an already-prepared cached
+    // engine cost supplemental scans, counted in the delta below).
+    for (const PendingSession& session : live) {
+      for (const ServeQuery& query : session.request.queries) {
+        PreRegisterQuery(engine, query);
+      }
+    }
+    const Status prepared = engine->TryPrepare();
+    if (!prepared.ok()) {
+      // The shared scan itself failed (table vanished, workers dead):
+      // every session of the batch fails, and the engine is dropped so the
+      // next window starts fresh.
+      for (const PendingSession& session : live) {
+        FailSession(session.conn, session.session_id, prepared);
+      }
+      engines_.remove_if([&key](const auto& entry) {
+        return entry.first == key;
+      });
+      return;
+    }
+
+    for (size_t i = 0; i < live.size(); ++i) {
+      replies[i].session_id = live[i].session_id;
+      replies[i].generation = key.generation;
+      replies[i].answers.reserve(live[i].request.queries.size());
+      for (const ServeQuery& query : live[i].request.queries) {
+        replies[i].answers.push_back(AnswerQuery(engine, query));
+      }
+    }
+    scan_delta = engine->counting_scans() - scans_before;
+
+    // Commit the batch's counters BEFORE shipping replies: a client
+    // holding its answer must see a stats snapshot that includes the batch
+    // that produced it (the load harness and tests read stats immediately
+    // after a reply). Write failures are re-classified below.
+    {
+      std::lock_guard<std::mutex> lock(stats_mu_);
+      stats_.sessions_served += static_cast<int64_t>(live.size());
+      stats_.physical_scans += scan_delta;
+      stats_.coalesced_sessions += std::max<int64_t>(
+          0, static_cast<int64_t>(live.size()) - scan_delta);
+      ++stats_.batches_executed;
+      stats_.engines_cached = static_cast<int64_t>(engines_.size());
+    }
+    const ServeMetrics& metrics = ServeMetrics::Get();
+    metrics.sessions_served->Add(static_cast<int64_t>(live.size()));
+    metrics.physical_scans->Add(scan_delta);
+    metrics.coalesced_sessions->Add(
+        std::max<int64_t>(0, static_cast<int64_t>(live.size()) - scan_delta));
+    metrics.batches_executed->Add();
+    metrics.engines_cached->Set(static_cast<double>(engines_.size()));
+    TenantSessionsCounter(key.options_fingerprint)
+        ->Add(static_cast<int64_t>(live.size()));
+    window_span.AddAttribute("physical_scans",
+                             static_cast<double>(scan_delta));
+    metrics.window_seconds->Observe(window_timer.ElapsedSeconds());
   }
-  const ServeMetrics& metrics = ServeMetrics::Get();
-  metrics.sessions_served->Add(static_cast<int64_t>(live.size()));
-  metrics.physical_scans->Add(scan_delta);
-  metrics.coalesced_sessions->Add(
-      std::max<int64_t>(0, static_cast<int64_t>(live.size()) - scan_delta));
-  metrics.batches_executed->Add();
-  metrics.engines_cached->Set(static_cast<double>(engines_.size()));
-  TenantSessionsCounter(key.options_fingerprint)
-      ->Add(static_cast<int64_t>(live.size()));
-  window_span.AddAttribute("physical_scans",
-                           static_cast<double>(scan_delta));
-  metrics.window_seconds->Observe(window_timer.ElapsedSeconds());
 
   int64_t write_failures = 0;
   for (size_t i = 0; i < live.size(); ++i) {
@@ -682,7 +687,7 @@ void MiningServer::ExecuteBatch(const EngineKey& key, Batch batch) {
     }
     // Registry counters are monotone, so the served mirror keeps the
     // optimistic count; only the failure counter records the loss.
-    metrics.sessions_failed->Add(write_failures);
+    ServeMetrics::Get().sessions_failed->Add(write_failures);
   }
 }
 

@@ -137,8 +137,15 @@ class TreeBuilder {
     }
     const bucketing::BucketBoundaries boundaries =
         bucketing::ExactEquiDepthBoundaries(values, options_.num_buckets);
-    bucketing::BucketCounts counts =
-        bucketing::CountBuckets(values, target, boundaries);
+    // One-channel counting plan over the gathered node as a single batch.
+    storage::ColumnarBatch batch;
+    batch.Reset(1, 1);
+    batch.SetRows(static_cast<int64_t>(values.size()));
+    batch.SetNumeric(0, values);
+    batch.SetBoolean(0, target);
+    bucketing::MultiCountPlan plan({&boundaries}, 1);
+    plan.Accumulate(batch);
+    bucketing::BucketCounts counts = plan.TakeCounts(0);
     bucketing::CompactEmptyBuckets(&counts);
     const int m = counts.num_buckets();
     if (m < 2) return;

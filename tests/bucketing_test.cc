@@ -22,6 +22,7 @@
 #include "bucketing/sort_bucketizer.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "reference/kernels.h"
 #include "storage/paged_file.h"
 #include "storage/columnar_batch.h"
 

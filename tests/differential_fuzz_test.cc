@@ -41,6 +41,8 @@
 #include "dist/partitioned_table.h"
 #include "dist/scan_worker.h"
 #include "fuzz_seed.h"
+#include "reference/kernels.h"
+#include "reference/miner.h"
 #include "region/grid.h"
 #include "rules/miner.h"
 #include "rules/naive.h"

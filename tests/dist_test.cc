@@ -47,6 +47,7 @@
 #include "dist/partitioned_table.h"
 #include "dist/scan_worker.h"
 #include "dist/wire.h"
+#include "reference/miner.h"
 #include "rules/miner.h"
 #include "storage/csv.h"
 #include "storage/paged_file.h"
@@ -1690,6 +1691,45 @@ TEST(PartitionedEngineTest, TryPrepareSurfacesVanishedPartition) {
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kIoError);
   EXPECT_EQ(engine.counting_scans(), 0);
+  std::filesystem::remove_all(dir);
+}
+
+/// The Result-returning Mine* calls prepare softly: a first MinePair on a
+/// table whose partition vanished returns the Status instead of aborting,
+/// and once the partition is restored the same engine answers exactly
+/// like a fresh one.
+TEST(PartitionedEngineTest, MinePairSurfacesVanishedPartitionThenRecovers) {
+  const storage::Relation relation = TestRelation(400, 29);
+  const storage::Schema& schema = relation.schema();
+  const std::string dir = TempDir("engine_mine_pair_vanished");
+  PartitionOptions partition_options;
+  partition_options.num_partitions = 2;
+  Result<PartitionedTable> table =
+      PartitionRelation(relation, dir, partition_options);
+  ASSERT_TRUE(table.ok());
+  const std::string partition = table.value().PartitionPath(1);
+  const std::string aside = dir + "/aside.optr";
+  std::filesystem::rename(partition, aside);
+  MinerOptions options;
+  options.num_buckets = 12;
+  MiningEngine engine(&table.value(), options);
+  const auto failed =
+      engine.MinePair(schema.NumericName(0), schema.BooleanName(0));
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(engine.counting_scans(), 0);
+
+  std::filesystem::rename(aside, partition);
+  const auto recovered =
+      engine.MinePair(schema.NumericName(0), schema.BooleanName(0));
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(engine.counting_scans(), 1);
+  MiningEngine fresh(&table.value(), options);
+  const auto expected =
+      fresh.MinePair(schema.NumericName(0), schema.BooleanName(0));
+  ASSERT_TRUE(expected.ok());
+  ExpectSameRules(recovered.value(), expected.value());
+  ExpectSameRules(engine.MineAllPairs(), fresh.MineAllPairs());
   std::filesystem::remove_all(dir);
 }
 

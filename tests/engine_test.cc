@@ -16,7 +16,10 @@
 #include "datagen/bank.h"
 #include "datagen/retail.h"
 #include "datagen/table_generator.h"
+#include "dist/fault_injection.h"
 #include "dist/partitioned_table.h"
+#include "reference/kernels.h"
+#include "reference/miner.h"
 #include "rules/miner.h"
 #include "storage/columnar_batch.h"
 #include "storage/paged_file.h"
@@ -1109,6 +1112,128 @@ TEST(MiningEngineTest, LateRectangularPairCostsOneSupplementalScan) {
   ExpectSameRegion(engine.MineOptimizedRegion("num1", "num0", "bool1"),
                    legacy.MineOptimizedRegion("num1", "num0", "bool1", 5, 9));
   EXPECT_EQ(engine.counting_scans(), 2);
+}
+
+TEST(MiningEngineTest, EachLateRegistrationCostsOnePlanAndOneScan) {
+  // Every late registration kind goes through the one late-scan path,
+  // starting from a prepared session with nothing registered: a first
+  // condition, a first average target, a first region pair, then a pair
+  // on a new column at an already-planned grid count. Each costs exactly
+  // one planning pass plus one counting scan of the base-free channels,
+  // and every answer matches an engine that registered everything up
+  // front as well as the reference miner.
+  const storage::Relation relation = SmallRelation(15013, 81);
+  MinerOptions options;
+  options.num_buckets = 60;
+  options.region_grid_buckets = 10;
+  Miner reference(&relation, options);
+  MiningEngine early(&relation, options);
+  ASSERT_TRUE(early.RequestGeneralized({"bool1"}).ok());
+  ASSERT_TRUE(early.RequestAverageTarget("num2").ok());
+  ASSERT_TRUE(early.RequestRegionPair("num0", "num1").ok());
+  ASSERT_TRUE(early.RequestRegionPair("num2", "num0").ok());
+  ASSERT_TRUE(early.TryPrepare().ok());
+  EXPECT_EQ(early.counting_scans(), 1);
+
+  storage::RelationBatchSource source(&relation);
+  MiningEngine late(&source, relation.schema(), options);
+  ASSERT_TRUE(late.TryPrepare().ok());
+  EXPECT_EQ(late.counting_scans(), 1);
+  EXPECT_EQ(source.scans_started(), 2);  // planning + counting
+
+  ASSERT_TRUE(late.RequestGeneralized({"bool1"}).ok());
+  EXPECT_EQ(late.counting_scans(), 2);
+  EXPECT_EQ(source.scans_started(), 4);
+  ExpectSameRuleResults(late.MineGeneralized("num0", {"bool1"}, "bool0"),
+                        early.MineGeneralized("num0", {"bool1"}, "bool0"));
+  ExpectSameRuleResults(
+      late.MineGeneralized("num2", {"bool1"}, "bool1"),
+      reference.MineGeneralized("num2", {"bool1"}, "bool1"));
+
+  ASSERT_TRUE(late.RequestAverageTarget("num2").ok());
+  EXPECT_EQ(late.counting_scans(), 3);
+  EXPECT_EQ(source.scans_started(), 6);
+  ExpectSameAggregate(late.MineMaximumAverageRange("num1", "num2", 0.1),
+                      early.MineMaximumAverageRange("num1", "num2", 0.1));
+  ExpectSameAggregate(
+      late.MineMaximumSupportRange("num0", "num2", 4.5e5),
+      reference.MineMaximumSupportRange("num0", "num2", 4.5e5));
+
+  ASSERT_TRUE(late.RequestRegionPair("num0", "num1").ok());
+  EXPECT_EQ(late.counting_scans(), 4);
+  EXPECT_EQ(source.scans_started(), 8);
+  ExpectSameRegion(late.MineOptimizedRegion("num0", "num1", "bool0"),
+                   early.MineOptimizedRegion("num0", "num1", "bool0"));
+  ExpectSameRegion(late.MineOptimizedRegion("num0", "num1", "bool1"),
+                   reference.MineOptimizedRegion("num0", "num1", "bool1"));
+
+  // num2 is a new column at the already-planned 10-bucket region count.
+  ASSERT_TRUE(late.RequestRegionPair("num2", "num0").ok());
+  EXPECT_EQ(late.counting_scans(), 5);
+  EXPECT_EQ(source.scans_started(), 10);
+  ExpectSameRegion(late.MineOptimizedRegion("num2", "num0", "bool0"),
+                   early.MineOptimizedRegion("num2", "num0", "bool0"));
+  ExpectSameRegion(late.MineOptimizedRegion("num2", "num0", "bool1"),
+                   reference.MineOptimizedRegion("num2", "num0", "bool1"));
+
+  // The base channels were counted once and still match; nothing rescans.
+  ExpectSameRules(late.MineAllPairs(), early.MineAllPairs());
+  ExpectSameRules(late.MineAllPairs(), reference.MineAll());
+  EXPECT_EQ(late.counting_scans(), 5);
+  EXPECT_EQ(source.scans_started(), 10);
+  EXPECT_EQ(early.counting_scans(), 1);
+}
+
+TEST(MiningEngineTest, FailedLateScanStaysPendingAndRetriesBitIdentically) {
+  // A late scan on a partitioned table fails through an injected worker
+  // fault: the call returns the Status, already-counted channels keep
+  // answering without a scan, and the retry after the fault clears
+  // answers bit-identically to a fresh engine at exactly one more
+  // counting scan.
+  const storage::Relation relation = SmallRelation(3001, 82);
+  const std::string dir = testing::TempDir() + "/late_scan_fault";
+  std::filesystem::remove_all(dir);
+  dist::PartitionOptions partitioning;
+  partitioning.num_partitions = 3;
+  Result<dist::PartitionedTable> table =
+      dist::PartitionRelation(relation, dir, partitioning);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  MinerOptions options;
+  options.num_buckets = 40;
+
+  // One worker slot: the first scan makes calls 0-2, the late scan's first
+  // partition call (3) fails permanently, and the retry scans normally.
+  dist::DistributedScanOptions faulty;
+  faulty.max_workers = 1;
+  faulty.worker_factory = []() -> Result<std::unique_ptr<dist::ScanWorker>> {
+    std::vector<dist::InjectedFault> faults = {
+        {.at_call = 3, .status = Status::InvalidArgument("injected")}};
+    return std::unique_ptr<dist::ScanWorker>(
+        std::make_unique<dist::FaultInjectingScanWorker>(
+            std::make_unique<dist::InProcessScanWorker>(), std::move(faults)));
+  };
+  MiningEngine engine(&table.value(), options, faulty);
+  const std::vector<MinedRule> all = engine.MineAllPairs();
+  EXPECT_EQ(engine.counting_scans(), 1);
+
+  const auto failed = engine.MineGeneralized("num1", {"bool0"}, "bool1");
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.counting_scans(), 1);
+  ExpectSameRules(engine.MineAllPairs(), all);
+  EXPECT_EQ(engine.counting_scans(), 1);
+
+  MiningEngine fresh(&table.value(), options);
+  ASSERT_TRUE(fresh.RequestGeneralized({"bool0"}).ok());
+  ExpectSameRuleResults(engine.MineGeneralized("num1", {"bool0"}, "bool1"),
+                        fresh.MineGeneralized("num1", {"bool0"}, "bool1"));
+  EXPECT_EQ(engine.counting_scans(), 2);
+  ExpectSameRuleResults(engine.MineGeneralized("num2", {"bool0"}, "bool0"),
+                        fresh.MineGeneralized("num2", {"bool0"}, "bool0"));
+  ExpectSameRules(engine.MineAllPairs(), fresh.MineAllPairs());
+  EXPECT_EQ(engine.counting_scans(), 2);
+  EXPECT_EQ(fresh.counting_scans(), 1);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(MiningEngineTest, RepeatedAggregateQueriesReuseHullContext) {

@@ -10,6 +10,7 @@
 #include "datagen/correlation.h"
 #include "datagen/retail.h"
 #include "datagen/table_generator.h"
+#include "reference/miner.h"
 #include "rules/miner.h"
 
 namespace optrules::rules {

@@ -15,6 +15,7 @@
 #include "bucketing/parallel_count.h"
 #include "common/ratio.h"
 #include "datagen/table_generator.h"
+#include "reference/miner.h"
 #include "report/report.h"
 #include "rules/miner.h"
 #include "rules/optimized_confidence.h"

@@ -16,6 +16,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "dist/partitioned_table.h"
+#include "reference/kernels.h"
 #include "region/grid.h"
 #include "region/rectangle.h"
 #include "region/xmonotone.h"

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "datagen/table_generator.h"
+#include "reference/miner.h"
 #include "report/interestingness.h"
 #include "report/report.h"
 #include "rules/miner.h"

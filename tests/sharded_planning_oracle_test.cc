@@ -23,6 +23,7 @@
 #include "datagen/table_generator.h"
 #include "dist/partitioned_table.h"
 #include "fuzz_seed.h"
+#include "reference/miner.h"
 #include "rules/miner.h"
 #include "storage/columnar_batch.h"
 #include "storage/paged_file.h"
