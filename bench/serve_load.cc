@@ -36,6 +36,7 @@
 #include "common/rng.h"
 #include "datagen/table_generator.h"
 #include "dist/partitioned_table.h"
+#include "obs/metrics.h"
 #include "rules/miner.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
@@ -52,6 +53,16 @@ using serve::SessionReply;
 using serve::SessionRequest;
 
 constexpr int kTenants = 4;
+
+/// Growth of registry counter `name` between two snapshots. The server
+/// runs in-process, so its registry is this process's registry.
+int64_t CounterDelta(const obs::MetricsSnapshot& from,
+                     const obs::MetricsSnapshot& to, const char* name) {
+  const auto before = from.counters.find(name);
+  const auto after = to.counters.find(name);
+  return (after == to.counters.end() ? 0 : after->second) -
+         (before == from.counters.end() ? 0 : before->second);
+}
 
 double NowSeconds() {
   return std::chrono::duration<double>(
@@ -269,6 +280,8 @@ int main() {
               static_cast<long long>(server_options.coalescing_window_ms));
 
   // --------------------------- phase 1: one window, one physical scan ----
+  const obs::MetricsSnapshot start =
+      obs::MetricsRegistry::Default().Snapshot();
   std::vector<SessionReply> replies(kTenants);
   std::vector<Status> reply_status(kTenants, Status::Ok());
   {
@@ -302,7 +315,12 @@ int main() {
       return 1;
     }
   }
-  const serve::ServerStatsSnapshot window_stats = server.Stats();
+  const obs::MetricsSnapshot window =
+      obs::MetricsRegistry::Default().Snapshot();
+  const int64_t window_physical_scans =
+      CounterDelta(start, window, "serve.physical_scans");
+  const int64_t window_coalesced_sessions =
+      CounterDelta(start, window, "serve.coalesced_sessions");
 
   // Bit-identity: every tenant's served answers vs a standalone engine.
   bool bit_identical = true;
@@ -326,8 +344,8 @@ int main() {
 
   std::printf("window: physical_scans=%lld coalesced_sessions=%lld "
               "bit_identical=%s\n",
-              static_cast<long long>(window_stats.physical_scans),
-              static_cast<long long>(window_stats.coalesced_sessions),
+              static_cast<long long>(window_physical_scans),
+              static_cast<long long>(window_coalesced_sessions),
               bit_identical ? "yes" : "NO");
 
   // ------------------------------- phase 2: sustained session stream ----
@@ -385,7 +403,13 @@ int main() {
       stream_seconds > 0.0
           ? static_cast<double>(latencies_ms.size()) / stream_seconds
           : 0.0;
-  const serve::ServerStatsSnapshot final_stats = server.Stats();
+  const obs::MetricsSnapshot end = obs::MetricsRegistry::Default().Snapshot();
+  const int64_t total_physical_scans =
+      CounterDelta(start, end, "serve.physical_scans");
+  const int64_t total_coalesced_sessions =
+      CounterDelta(start, end, "serve.coalesced_sessions");
+  const int64_t total_batches =
+      CounterDelta(start, end, "serve.batches_executed");
   server.Stop();
   std::filesystem::remove_all(root);
 
@@ -395,26 +419,27 @@ int main() {
               percentile(0.99), failures.load());
   std::printf("totals: served=%lld physical_scans=%lld "
               "coalesced_sessions=%lld batches=%lld\n",
-              static_cast<long long>(final_stats.sessions_served),
-              static_cast<long long>(final_stats.physical_scans),
-              static_cast<long long>(final_stats.coalesced_sessions),
-              static_cast<long long>(final_stats.batches_executed));
+              static_cast<long long>(
+                  CounterDelta(start, end, "serve.sessions_served")),
+              static_cast<long long>(total_physical_scans),
+              static_cast<long long>(total_coalesced_sessions),
+              static_cast<long long>(total_batches));
 
   bench::JsonReporter json("serve_load");
   json.Add("rows", rows);
   json.Add("tenants", static_cast<int64_t>(kTenants));
   json.Add("coalescing_window_ms",
            static_cast<int64_t>(server_options.coalescing_window_ms));
-  json.Add("window_physical_scans", window_stats.physical_scans);
-  json.Add("window_coalesced_sessions", window_stats.coalesced_sessions);
+  json.Add("window_physical_scans", window_physical_scans);
+  json.Add("window_coalesced_sessions", window_coalesced_sessions);
   json.Add("bit_identical", bit_identical);
   json.Add("stream_sessions", static_cast<int64_t>(latencies_ms.size()));
   json.Add("sessions_per_sec", sessions_per_sec);
   json.Add("p50_latency_ms", percentile(0.50));
   json.Add("p99_latency_ms", percentile(0.99));
-  json.Add("total_physical_scans", final_stats.physical_scans);
-  json.Add("total_coalesced_sessions", final_stats.coalesced_sessions);
-  json.Add("total_batches", final_stats.batches_executed);
+  json.Add("total_physical_scans", total_physical_scans);
+  json.Add("total_coalesced_sessions", total_coalesced_sessions);
+  json.Add("total_batches", total_batches);
   json.Add("failures", static_cast<int64_t>(failures.load()));
   // The server runs in-process, so its registry IS this process's
   // registry: the snapshot carries the serve counters alongside the
@@ -422,7 +447,7 @@ int main() {
   json.AddRegistrySnapshot(
       optrules::obs::MetricsRegistry::Default().Snapshot());
 
-  const bool ok = bit_identical && window_stats.physical_scans == 1 &&
+  const bool ok = bit_identical && window_physical_scans == 1 &&
                   failures.load() == 0;
   if (!ok) {
     std::fprintf(stderr, "serve_load: FAILED acceptance checks\n");

@@ -13,10 +13,14 @@
 #include "common/timer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "storage/scan_prune.h"
 
 namespace optrules::dist {
 
 namespace {
+
+/// Per-retry growth of a partition's attempt deadline.
+constexpr double kRetryBackoff = 2.0;
 
 /// Registry instruments of the distributed scan path, resolved once.
 struct DistMetrics {
@@ -41,6 +45,22 @@ struct DistMetrics {
   }
 };
 
+/// True when the manifest's per-partition stats prove partition `p` dead
+/// under `spec`: some listed numeric column is all-NaN there, or some
+/// condition conjunct is all-false, for EVERY unit of the spec -- the
+/// partition can contribute nothing but its row count.
+bool PartitionIsDead(const PartitionedTable& table,
+                     const storage::ScanPruneSpec& spec, int p) {
+  const PartitionManifest& manifest = table.manifest();
+  return storage::AllUnitsDead(
+      spec,
+      [&](int c) {
+        const AttributeStats& stat = manifest.PartitionNumeric(p, c);
+        return stat.min_value <= stat.max_value;
+      },
+      [&](int b) { return manifest.PartitionBoolean(p, b).max_value != 0; });
+}
+
 }  // namespace
 
 DistributedScanCoordinator::DistributedScanCoordinator(
@@ -51,7 +71,6 @@ DistributedScanCoordinator::DistributedScanCoordinator(
   OPTRULES_CHECK(options_.batch_rows >= 1);
   OPTRULES_CHECK(options_.max_partition_attempts >= 1);
   OPTRULES_CHECK(options_.max_respawns >= 0);
-  OPTRULES_CHECK(options_.retry_backoff >= 1.0);
 }
 
 Result<std::unique_ptr<ScanWorker>>
@@ -148,8 +167,7 @@ Status DistributedScanCoordinator::Execute(bucketing::MultiCountPlan* plan) {
   // Scheduler state, all guarded by `mu`. Results land keyed by partition
   // index and nothing merges until every live partition is done, so the
   // merge below runs strictly in partition order no matter which worker
-  // (or which ATTEMPT -- retries and speculative duplicates produce the
-  // same bits) finished first.
+  // (or which attempt -- a retry produces the same bits) finished first.
   std::mutex mu;
   std::condition_variable cv;
   std::deque<int> pending;  // claimable live partitions, index order
@@ -159,10 +177,6 @@ Status DistributedScanCoordinator::Execute(bucketing::MultiCountPlan* plan) {
       static_cast<size_t>(partitions));
   std::vector<Status> errors(static_cast<size_t>(partitions));
   std::vector<int> attempts(static_cast<size_t>(partitions), 0);
-  std::vector<int> inflight(static_cast<size_t>(partitions), 0);
-  std::vector<char> done(static_cast<size_t>(partitions), 0);
-  std::vector<char> speculated(static_cast<size_t>(partitions), 0);
-  std::vector<char> slot_dead(static_cast<size_t>(workers), 0);
   int undone = 0;
   for (int p = 0; p < partitions; ++p) {
     if (dead[static_cast<size_t>(p)] != 0) continue;
@@ -177,68 +191,30 @@ Status DistributedScanCoordinator::Execute(bucketing::MultiCountPlan* plan) {
   int64_t respawned = 0;
   int64_t stolen = 0;
 
-  // What slot w could run right now (mu held). Order of preference: its
-  // own static stride, then -- per scheduling mode -- someone else's
-  // unstarted partition (a steal) or an orphaned/retried partition, then
-  // a speculative duplicate of the in-flight tail.
-  enum class ClaimKind { kNone, kQueued, kSpeculative };
-  struct Claim {
-    ClaimKind kind = ClaimKind::kNone;
-    int partition = -1;
-  };
-  const auto find_claim = [&](int w) -> Claim {
+  // What slot w claims next (mu held, pending non-empty): its own stride
+  // first, then the head of the queue -- a slower peer's unstarted
+  // partition (a steal) or a retried one.
+  const auto find_claim = [&](int w) -> int {
     for (const int p : pending) {
-      if (p % workers == w) return {ClaimKind::kQueued, p};
+      if (p % workers == w) return p;
     }
-    if (options_.scheduling == ScanScheduling::kWorkQueue) {
-      if (!pending.empty()) return {ClaimKind::kQueued, pending.front()};
-    } else {
-      // Strict static schedule: foreign partitions are claimable only as
-      // failover -- retries, or stride partitions whose owner slot died.
-      for (const int p : pending) {
-        if (attempts[static_cast<size_t>(p)] > 0 ||
-            slot_dead[static_cast<size_t>(p % workers)] != 0) {
-          return {ClaimKind::kQueued, p};
-        }
-      }
-    }
-    if (options_.speculative_tail && pending.empty()) {
-      for (int p = 0; p < partitions; ++p) {
-        if (done[static_cast<size_t>(p)] == 0 &&
-            dead[static_cast<size_t>(p)] == 0 &&
-            inflight[static_cast<size_t>(p)] == 1 &&
-            speculated[static_cast<size_t>(p)] == 0) {
-          return {ClaimKind::kSpeculative, p};
-        }
-      }
-    }
-    return {};
+    return pending.front();
   };
 
   const auto serve = [&](int w) {
     for (;;) {
-      Claim claim;
+      int partition = -1;
       int attempt = 0;
       {
         std::unique_lock<std::mutex> lock(mu);
         cv.wait(lock, [&] {
-          return failed || undone == 0 ||
-                 find_claim(w).kind != ClaimKind::kNone;
+          return failed || undone == 0 || !pending.empty();
         });
         if (failed || undone == 0) return;
-        claim = find_claim(w);
-        const size_t p = static_cast<size_t>(claim.partition);
-        if (claim.kind == ClaimKind::kQueued) {
-          pending.erase(
-              std::find(pending.begin(), pending.end(), claim.partition));
-          if (claim.partition % workers != w && attempts[p] == 0) {
-            ++stolen;
-          }
-        } else {
-          speculated[p] = 1;
-        }
-        attempt = attempts[p];
-        ++inflight[p];
+        partition = find_claim(w);
+        pending.erase(std::find(pending.begin(), pending.end(), partition));
+        attempt = attempts[static_cast<size_t>(partition)];
+        if (partition % workers != w && attempt == 0) ++stolen;
       }
 
       PartitionScanSpec scan_spec = base_spec;
@@ -248,7 +224,7 @@ Status DistributedScanCoordinator::Execute(bucketing::MultiCountPlan* plan) {
         // genuinely slow partition indefinitely.
         scan_spec.deadline_ms = static_cast<int64_t>(
             static_cast<double>(options_.partition_deadline_ms) *
-            std::pow(options_.retry_backoff, attempt));
+            std::pow(kRetryBackoff, attempt));
       }
       storage::BatchSourceStats attempt_stats;
       WallTimer attempt_timer;
@@ -258,32 +234,23 @@ Status DistributedScanCoordinator::Execute(bucketing::MultiCountPlan* plan) {
         // any spans the in-process scan below creates) under the scan.
         obs::ScopedParent span_parent(scan_span_id);
         obs::Span partition_span("dist.partition");
-        partition_span.AddAttribute(
-            "partition", static_cast<double>(claim.partition));
+        partition_span.AddAttribute("partition",
+                                    static_cast<double>(partition));
         partition_span.AddAttribute("worker", static_cast<double>(w));
         partition_span.AddAttribute("attempt", static_cast<double>(attempt));
         return roster_[static_cast<size_t>(w)]->CountPartition(
-            table_->PartitionPath(claim.partition), scan_spec,
-            &attempt_stats);
+            table_->PartitionPath(partition), scan_spec, &attempt_stats);
       }();
       DistMetrics::Get().partition_scan_seconds->Observe(
           attempt_timer.ElapsedSeconds());
 
       std::unique_lock<std::mutex> lock(mu);
-      const size_t p = static_cast<size_t>(claim.partition);
-      --inflight[p];
+      const size_t p = static_cast<size_t>(partition);
       if (partial.ok()) {
-        // First bit-exact partial wins; a duplicate (speculative run, or
-        // a retry racing its predecessor) is identical by construction
-        // and is discarded, never double-merged.
-        if (done[p] == 0) {
-          done[p] = 1;
-          partials[p].emplace(std::move(partial).value());
-          stats[p] = attempt_stats;
-          --undone;
-          if (undone == 0) cv.notify_all();
-        }
-      } else if (done[p] == 0) {
+        partials[p].emplace(std::move(partial).value());
+        stats[p] = attempt_stats;
+        if (--undone == 0) cv.notify_all();
+      } else {
         ++attempts[p];
         errors[p] = partial.status();
         const bool retryable =
@@ -291,15 +258,12 @@ Status DistributedScanCoordinator::Execute(bucketing::MultiCountPlan* plan) {
         if (retryable && attempts[p] < options_.max_partition_attempts) {
           // Head of the queue: a wounded partition re-dispatches before
           // fresh work so its backoff clock starts immediately.
-          pending.push_front(claim.partition);
+          pending.push_front(partition);
           ++retries;
-          cv.notify_all();
-        } else if (inflight[p] == 0) {
+        } else {
           failed = true;
-          cv.notify_all();
         }
-        // else: another attempt at p is still in flight and may yet
-        // succeed; its completion decides the partition's fate.
+        cv.notify_all();
       }
 
       if (!roster_[static_cast<size_t>(w)]->healthy()) {
@@ -326,13 +290,10 @@ Status DistributedScanCoordinator::Execute(bucketing::MultiCountPlan* plan) {
           roster_[static_cast<size_t>(w)] = std::move(fresh);
           ++respawned;
         } else {
-          slot_dead[static_cast<size_t>(w)] = 1;
           if (--active_workers == 0 && undone > 0 && !failed) {
             failed = true;
             global_failure = spawn_status;
           }
-          // Static-mode peers may now claim this slot's stride.
-          cv.notify_all();
           return;
         }
       }
@@ -368,7 +329,7 @@ Status DistributedScanCoordinator::Execute(bucketing::MultiCountPlan* plan) {
   if (failed || undone > 0) {
     for (int p = 0; p < partitions; ++p) {
       if (dead[static_cast<size_t>(p)] == 0 &&
-          done[static_cast<size_t>(p)] == 0 &&
+          !partials[static_cast<size_t>(p)].has_value() &&
           !errors[static_cast<size_t>(p)].ok()) {
         return errors[static_cast<size_t>(p)];
       }
@@ -378,7 +339,7 @@ Status DistributedScanCoordinator::Execute(bucketing::MultiCountPlan* plan) {
   }
 
   // Deterministic merge: fixed partition order, independent of worker
-  // scheduling, retries, and speculation. Pruned partitions enter as
+  // scheduling and retries. Pruned partitions enter as
   // pure row-count additions.
   int64_t scanned = 0;
   for (int p = 0; p < partitions; ++p) {

@@ -17,10 +17,14 @@
 // (error frame, dead pipe, crashed or hung daemon) is simply re-run -- on
 // a surviving worker, or on a freshly respawned daemon when the failed
 // worker's transport broke -- and every re-run produces the same bits, so
-// retries, work stealing, and speculative duplicates never change the
-// merged result. Scheduling decides only WHO scans a partition and WHEN;
-// the merge consumes exactly one partial per live partition, in partition
-// order, no matter how many attempts produced it.
+// retries and work stealing never change the merged result. The one
+// schedule is a work queue: each worker slot takes its own stride
+// (w, w+W, ...) first and, once that is drained, steals the head of the
+// queue -- an unstarted partition of a slower peer, or a retry. A retry is
+// queued only after its failed attempt returned, so a partition has at
+// most one attempt in flight. Scheduling decides only WHO scans a
+// partition and WHEN; the merge consumes exactly one partial per live
+// partition, in partition order, no matter how many attempts produced it.
 
 #ifndef OPTRULES_DIST_COORDINATOR_H_
 #define OPTRULES_DIST_COORDINATOR_H_
@@ -44,29 +48,16 @@ enum class WorkerKind {
   kSubprocess,  ///< forked optrules_workerd daemons over pipes
 };
 
-/// How partitions are handed to worker slots.
-enum class ScanScheduling {
-  /// Each slot prefers its static stride (w, w+W, ...) but an idle slot
-  /// steals unstarted partitions from slow peers. The default: same
-  /// merged bits as kStatic, better wall clock under stragglers.
-  kWorkQueue,
-  /// Strict static assignment (slot w serves exactly w, w+W, ...);
-  /// retried partitions still fail over to any live slot. Kept for
-  /// benchmarking the stealing win and for reproducing old schedules.
-  kStatic,
-};
-
 /// Fan-out parameters of a distributed scan.
 struct DistributedScanOptions {
   WorkerKind worker_kind = WorkerKind::kInProcess;
   /// Concurrent worker slots; 0 = one per partition. The worker count
-  /// and schedule never change results, only wall clock.
+  /// never changes results, only wall clock.
   int max_workers = 0;
   int64_t batch_rows = storage::kDefaultBatchRows;
   /// optrules_workerd binary for kSubprocess; empty = $OPTRULES_WORKERD.
   std::string workerd_path;
 
-  ScanScheduling scheduling = ScanScheduling::kWorkQueue;
   /// Total attempts (first try + retries) a partition gets before its
   /// failure fails the scan. InvalidArgument failures are permanent and
   /// never retried; everything else -- error frames, dead pipes, corrupt
@@ -77,19 +68,14 @@ struct DistributedScanOptions {
   /// the slot is abandoned. The scan itself fails only when no live
   /// slots remain with partitions still undone.
   int max_respawns = 8;
-  /// Per-attempt reply deadline in ms; 0 = none. Grows by retry_backoff
-  /// per retry of the same partition, so a deadline tuned to the common
-  /// case does not starve a genuinely slow partition forever.
+  /// Per-attempt reply deadline in ms; 0 = none. Doubles with each
+  /// retry of the same partition, so a deadline tuned to the common case
+  /// does not starve a genuinely slow partition forever.
   int64_t partition_deadline_ms = 0;
-  double retry_backoff = 2.0;
   /// Max silent gap before a subprocess worker counts as hung (daemons
   /// heartbeat every ~100 ms mid-scan); 0 = none. A hung daemon is
   /// SIGKILLed, reaped, and its partition retried.
   int64_t liveness_timeout_ms = 10'000;
-  /// When the pending queue drains, idle slots may re-run the still
-  /// in-flight tail partition; the first bit-exact partial wins and
-  /// duplicates are discarded, so this only cuts tail latency.
-  bool speculative_tail = false;
   /// Test/bench hook: when set, every worker (initial roster and
   /// respawns) comes from this factory instead of worker_kind.
   std::function<Result<std::unique_ptr<ScanWorker>>()> worker_factory;
@@ -117,7 +103,7 @@ class DistributedScanCoordinator {
 
   /// Partition scans MERGED across all Execute() calls: one per live
   /// partition per successful scan. Pruned partitions are not counted
-  /// (never scanned); failed or duplicate attempts are not counted
+  /// (never scanned); failed attempts are not counted
   /// either (tracked by scan_stats().retries instead), so this is the
   /// logical scan count, independent of fault injection.
   int64_t partition_scans() const { return partition_scans_; }

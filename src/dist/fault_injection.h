@@ -12,7 +12,7 @@
 // retried partition succeeds on the next attempt unless another fault is
 // armed for it. Tests and the bench also use the delay-only form
 // (`status` ok, `delay_ms` > 0) to manufacture stragglers for the
-// work-stealing and speculative-execution paths.
+// work-stealing path.
 
 #ifndef OPTRULES_DIST_FAULT_INJECTION_H_
 #define OPTRULES_DIST_FAULT_INJECTION_H_

@@ -72,13 +72,12 @@ uint64_t SchemaHash(const storage::Schema& schema) {
 
 Status WriteManifest(const PartitionManifest& manifest,
                      const std::string& dir) {
-  if (manifest.has_partition_stats &&
-      (manifest.partition_numeric_stats.size() !=
-           manifest.partitions.size() *
-               static_cast<size_t>(manifest.schema.num_numeric()) ||
-       manifest.partition_boolean_stats.size() !=
-           manifest.partitions.size() *
-               static_cast<size_t>(manifest.schema.num_boolean()))) {
+  if (manifest.partition_numeric_stats.size() !=
+          manifest.partitions.size() *
+              static_cast<size_t>(manifest.schema.num_numeric()) ||
+      manifest.partition_boolean_stats.size() !=
+          manifest.partitions.size() *
+              static_cast<size_t>(manifest.schema.num_boolean())) {
     return Status::InvalidArgument(
         "partition stats sized inconsistently with schema");
   }
@@ -118,28 +117,26 @@ Status WriteManifest(const PartitionManifest& manifest,
                   DoubleBits(stats.min_value), DoubleBits(stats.max_value));
     text += buffer;
   }
-  if (manifest.has_partition_stats) {
-    // Per-partition sections (partition-major), sized by the schema so the
-    // reader can validate the counts like the sections above.
-    std::snprintf(buffer, sizeof(buffer), "pnstat %d\n",
-                  static_cast<int>(manifest.partition_numeric_stats.size()));
+  // Per-partition sections (partition-major), sized by the schema so the
+  // reader can validate the counts like the sections above.
+  std::snprintf(buffer, sizeof(buffer), "pnstat %d\n",
+                static_cast<int>(manifest.partition_numeric_stats.size()));
+  text += buffer;
+  for (const AttributeStats& stats : manifest.partition_numeric_stats) {
+    std::snprintf(buffer, sizeof(buffer),
+                  "pn %016" PRIx64 " %016" PRIx64 "\n",
+                  DoubleBits(stats.min_value),
+                  DoubleBits(stats.max_value));
     text += buffer;
-    for (const AttributeStats& stats : manifest.partition_numeric_stats) {
-      std::snprintf(buffer, sizeof(buffer),
-                    "pn %016" PRIx64 " %016" PRIx64 "\n",
-                    DoubleBits(stats.min_value),
-                    DoubleBits(stats.max_value));
-      text += buffer;
-    }
-    std::snprintf(buffer, sizeof(buffer), "pbstat %d\n",
-                  static_cast<int>(manifest.partition_boolean_stats.size()));
+  }
+  std::snprintf(buffer, sizeof(buffer), "pbstat %d\n",
+                static_cast<int>(manifest.partition_boolean_stats.size()));
+  text += buffer;
+  for (const BooleanStats& stats : manifest.partition_boolean_stats) {
+    std::snprintf(buffer, sizeof(buffer), "pb %d %d\n",
+                  static_cast<int>(stats.min_value),
+                  static_cast<int>(stats.max_value));
     text += buffer;
-    for (const BooleanStats& stats : manifest.partition_boolean_stats) {
-      std::snprintf(buffer, sizeof(buffer), "pb %d %d\n",
-                    static_cast<int>(stats.min_value),
-                    static_cast<int>(stats.max_value));
-      text += buffer;
-    }
   }
   text += "end\n";
   const bool ok =
@@ -287,71 +284,71 @@ Result<PartitionManifest> ReadManifest(const std::string& dir) {
     manifest.numeric_stats.push_back(stats);
   }
 
-  // Optional per-partition stats sections (manifests written before they
-  // existed go straight to "end"; such tables never prune partitions).
+  // Per-partition stats sections, partition-major. Every entry is one line,
+  // so a declared count beyond the line count is corruption, rejected
+  // before any storage is reserved.
+  const int64_t lines_total = static_cast<int64_t>(lines.size());
+  int num_pn = 0;
+  const int64_t want_pn =
+      int64_t{num_partitions} * manifest.schema.num_numeric();
   line = take_line();
-  if (line != nullptr && line->compare(0, 7, "pnstat ") == 0) {
-    int num_pn = 0;
-    const int want_pn = num_partitions * manifest.schema.num_numeric();
-    if (std::sscanf(line->c_str(), "pnstat %d", &num_pn) != 1 ||
-        num_pn != want_pn ||
-        static_cast<size_t>(num_pn) > lines.size()) {
-      return corrupt("bad pnstat line");
-    }
-    manifest.partition_numeric_stats.reserve(static_cast<size_t>(num_pn));
-    for (int i = 0; i < num_pn; ++i) {
-      line = take_line();
-      uint64_t min_bits = 0;
-      uint64_t max_bits = 0;
-      if (line == nullptr ||
-          std::sscanf(line->c_str(), "pn %" SCNx64 " %" SCNx64, &min_bits,
-                      &max_bits) != 2) {
-        return corrupt("bad pn line");
-      }
-      AttributeStats stats;
-      stats.min_value = DoubleFromBits(min_bits);
-      stats.max_value = DoubleFromBits(max_bits);
-      // Pruning decisions ride on these, so a stat that could mis-prune
-      // (NaN endpoint, inverted non-sentinel range) is corruption, exactly
-      // as in the zone-map trailer.
-      const bool sentinel =
-          stats.min_value == std::numeric_limits<double>::infinity() &&
-          stats.max_value == -std::numeric_limits<double>::infinity();
-      if (std::isnan(stats.min_value) || std::isnan(stats.max_value) ||
-          (!sentinel && stats.min_value > stats.max_value)) {
-        return corrupt("invalid pn bounds");
-      }
-      manifest.partition_numeric_stats.push_back(stats);
-    }
-    line = take_line();
-    int num_pb = 0;
-    const int want_pb = num_partitions * manifest.schema.num_boolean();
-    if (line == nullptr ||
-        std::sscanf(line->c_str(), "pbstat %d", &num_pb) != 1 ||
-        num_pb != want_pb ||
-        static_cast<size_t>(num_pb) > lines.size()) {
-      return corrupt("bad pbstat line");
-    }
-    manifest.partition_boolean_stats.reserve(static_cast<size_t>(num_pb));
-    for (int i = 0; i < num_pb; ++i) {
-      line = take_line();
-      int min_value = 0;
-      int max_value = 0;
-      if (line == nullptr ||
-          std::sscanf(line->c_str(), "pb %d %d", &min_value, &max_value) !=
-              2 ||
-          min_value < 0 || min_value > 1 || max_value < 0 || max_value > 1 ||
-          (min_value > max_value && !(min_value == 1 && max_value == 0))) {
-        return corrupt("bad pb line");
-      }
-      BooleanStats stats;
-      stats.min_value = static_cast<uint8_t>(min_value);
-      stats.max_value = static_cast<uint8_t>(max_value);
-      manifest.partition_boolean_stats.push_back(stats);
-    }
-    manifest.has_partition_stats = true;
-    line = take_line();
+  if (line == nullptr ||
+      std::sscanf(line->c_str(), "pnstat %d", &num_pn) != 1 ||
+      num_pn != want_pn || num_pn > lines_total) {
+    return corrupt("bad pnstat line");
   }
+  manifest.partition_numeric_stats.reserve(static_cast<size_t>(num_pn));
+  for (int i = 0; i < num_pn; ++i) {
+    line = take_line();
+    uint64_t min_bits = 0;
+    uint64_t max_bits = 0;
+    if (line == nullptr ||
+        std::sscanf(line->c_str(), "pn %" SCNx64 " %" SCNx64, &min_bits,
+                    &max_bits) != 2) {
+      return corrupt("bad pn line");
+    }
+    AttributeStats stats;
+    stats.min_value = DoubleFromBits(min_bits);
+    stats.max_value = DoubleFromBits(max_bits);
+    // Pruning decisions ride on these, so a stat that could mis-prune
+    // (NaN endpoint, inverted non-sentinel range) is corruption, exactly
+    // as in the zone-map trailer.
+    const bool sentinel =
+        stats.min_value == std::numeric_limits<double>::infinity() &&
+        stats.max_value == -std::numeric_limits<double>::infinity();
+    if (std::isnan(stats.min_value) || std::isnan(stats.max_value) ||
+        (!sentinel && stats.min_value > stats.max_value)) {
+      return corrupt("invalid pn bounds");
+    }
+    manifest.partition_numeric_stats.push_back(stats);
+  }
+  int num_pb = 0;
+  const int64_t want_pb =
+      int64_t{num_partitions} * manifest.schema.num_boolean();
+  line = take_line();
+  if (line == nullptr ||
+      std::sscanf(line->c_str(), "pbstat %d", &num_pb) != 1 ||
+      num_pb != want_pb || num_pb > lines_total) {
+    return corrupt("bad pbstat line");
+  }
+  manifest.partition_boolean_stats.reserve(static_cast<size_t>(num_pb));
+  for (int i = 0; i < num_pb; ++i) {
+    line = take_line();
+    int min_value = 0;
+    int max_value = 0;
+    if (line == nullptr ||
+        std::sscanf(line->c_str(), "pb %d %d", &min_value, &max_value) !=
+            2 ||
+        min_value < 0 || min_value > 1 || max_value < 0 || max_value > 1 ||
+        (min_value > max_value && !(min_value == 1 && max_value == 0))) {
+      return corrupt("bad pb line");
+    }
+    BooleanStats stats;
+    stats.min_value = static_cast<uint8_t>(min_value);
+    stats.max_value = static_cast<uint8_t>(max_value);
+    manifest.partition_boolean_stats.push_back(stats);
+  }
+  line = take_line();
   if (line == nullptr || *line != "end") return corrupt("missing end line");
   return manifest;
 }

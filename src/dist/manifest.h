@@ -55,11 +55,10 @@ struct PartitionManifest {
   std::vector<PartitionInfo> partitions;
   /// Per numeric attribute, aligned with schema numeric indices.
   std::vector<AttributeStats> numeric_stats;
-  /// Optional per-partition per-column stats -- the partition-granular
-  /// twin of the v2 zone maps, letting a coordinator skip whole partitions
-  /// a ScanPruneSpec proves dead. Present iff has_partition_stats (older
-  /// manifests lack the sections and simply never prune partitions).
-  bool has_partition_stats = false;
+  /// Per-partition per-column stats -- the partition-granular twin of the
+  /// v2 zone maps, letting a coordinator skip whole partitions a
+  /// ScanPruneSpec proves dead. Mandatory: a manifest without them is
+  /// corrupt.
   /// [p * num_numeric + c]; NaN values skipped, sentinel when all-NaN.
   std::vector<AttributeStats> partition_numeric_stats;
   /// [p * num_boolean + b].

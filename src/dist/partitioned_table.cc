@@ -156,7 +156,6 @@ Status WritePartitionedTable(storage::BatchSource& source,
   manifest.schema = schema;
   manifest.schema_hash = SchemaHash(schema);
   manifest.numeric_stats = std::move(stats);
-  manifest.has_partition_stats = true;
   manifest.partition_numeric_stats = std::move(part_numeric);
   manifest.partition_boolean_stats = std::move(part_boolean);
   manifest.partitions.reserve(static_cast<size_t>(k));
@@ -244,45 +243,18 @@ Result<PartitionedTable> PartitionCsv(const std::string& csv_path,
 
 namespace {
 
-/// Stat accumulators a ConcatReader folds its partition sources into.
-struct ConcatStatSinks {
-  std::atomic<int64_t>* cache_hits = nullptr;
-  std::atomic<int64_t>* cache_misses = nullptr;
-  std::atomic<int64_t>* pages_skipped = nullptr;
-  std::atomic<int64_t>* partitions_skipped = nullptr;
-};
-
-}  // namespace
-
-bool PartitionIsDead(const PartitionedTable& table,
-                     const storage::ScanPruneSpec& spec, int p) {
-  const PartitionManifest& manifest = table.manifest();
-  if (!manifest.has_partition_stats || spec.empty()) return false;
-  return storage::AllUnitsDead(
-      spec,
-      [&](int c) {
-        const AttributeStats& stat = manifest.PartitionNumeric(p, c);
-        return stat.min_value <= stat.max_value;
-      },
-      [&](int b) { return manifest.PartitionBoolean(p, b).max_value != 0; });
-}
-
-namespace {
-
 /// Reader that walks the partitions in manifest order, delegating to one
-/// partition reader at a time. Partitions the manifest stats prove dead
-/// under the installed prune spec are skipped without opening their files;
-/// the spec is re-installed on each live partition's source so zone maps
-/// prune pages inside it too.
+/// partition reader at a time and folding each partition source's cache
+/// counters into the parent's accumulators as it retires.
 class ConcatReader : public storage::BatchReader {
  public:
   ConcatReader(const PartitionedTable* table, int64_t batch_rows,
-               std::shared_ptr<const storage::ScanPruneSpec> prune,
-               const ConcatStatSinks& sinks)
+               std::atomic<int64_t>* cache_hits,
+               std::atomic<int64_t>* cache_misses)
       : table_(table),
         batch_rows_(batch_rows),
-        prune_(std::move(prune)),
-        sinks_(sinks) {}
+        cache_hits_(cache_hits),
+        cache_misses_(cache_misses) {}
 
   ~ConcatReader() override { FinishPartition(); }
 
@@ -290,14 +262,8 @@ class ConcatReader : public storage::BatchReader {
     while (true) {
       if (reader_ != nullptr && reader_->Next(batch)) return true;
       if (next_partition_ >= table_->num_partitions()) return false;
-      const int p = next_partition_++;
-      if (prune_ != nullptr && PartitionIsDead(*table_, *prune_, p)) {
-        pruned_rows_ += table_->partition_rows(p);
-        ++partitions_skipped_;
-        continue;
-      }
       Result<std::unique_ptr<storage::PagedFileBatchSource>> source =
-          table_->OpenPartition(p, batch_rows_);
+          table_->OpenPartition(next_partition_++, batch_rows_);
       // A partition vanishing MID-scan is fatal (BatchReader::Next has no
       // error channel, and silently truncating the table would corrupt
       // results); callers that need a soft failure re-run
@@ -308,51 +274,28 @@ class ConcatReader : public storage::BatchReader {
       // (its destructor reports I/O-wait time into the source).
       FinishPartition();
       source_ = std::move(source).value();
-      source_->InstallPruneSpec(prune_);
       reader_ = source_->CreateReader();
     }
   }
 
-  int64_t pruned_rows() const override {
-    return pruned_rows_ +
-           (reader_ != nullptr ? reader_->pruned_rows() : 0);
-  }
-
  private:
-  /// Retires the current partition: banks its reader's pruned rows, then
-  /// destroys reader before source and folds the source's cache/pruning
-  /// counters into the parent sinks.
+  /// Retires the current partition: destroys reader before source and
+  /// folds the source's cache counters into the parent's.
   void FinishPartition() {
-    if (reader_ != nullptr) {
-      pruned_rows_ += reader_->pruned_rows();
-      reader_.reset();
-    }
+    reader_.reset();
     if (source_ != nullptr) {
       const storage::BatchSourceStats stats = source_->SourceStats();
-      if (sinks_.cache_hits != nullptr) {
-        sinks_.cache_hits->fetch_add(stats.cache_hits);
-      }
-      if (sinks_.cache_misses != nullptr) {
-        sinks_.cache_misses->fetch_add(stats.cache_misses);
-      }
-      if (sinks_.pages_skipped != nullptr) {
-        sinks_.pages_skipped->fetch_add(stats.pages_skipped);
-      }
+      cache_hits_->fetch_add(stats.cache_hits);
+      cache_misses_->fetch_add(stats.cache_misses);
       source_.reset();
-    }
-    if (sinks_.partitions_skipped != nullptr && partitions_skipped_ > 0) {
-      sinks_.partitions_skipped->fetch_add(partitions_skipped_);
-      partitions_skipped_ = 0;
     }
   }
 
   const PartitionedTable* table_;
   int64_t batch_rows_;
-  std::shared_ptr<const storage::ScanPruneSpec> prune_;
-  ConcatStatSinks sinks_;
+  std::atomic<int64_t>* cache_hits_;
+  std::atomic<int64_t>* cache_misses_;
   int next_partition_ = 0;
-  int64_t pruned_rows_ = 0;
-  int64_t partitions_skipped_ = 0;
   std::unique_ptr<storage::PagedFileBatchSource> source_;
   std::unique_ptr<storage::BatchReader> reader_;
 };
@@ -379,13 +322,8 @@ int64_t PartitionedTableBatchSource::NumTuples() const {
 
 std::unique_ptr<storage::BatchReader>
 PartitionedTableBatchSource::DoCreateReader() {
-  ConcatStatSinks sinks;
-  sinks.cache_hits = &cache_hits_;
-  sinks.cache_misses = &cache_misses_;
-  sinks.pages_skipped = &pages_skipped_;
-  sinks.partitions_skipped = &partitions_skipped_;
-  return std::make_unique<ConcatReader>(table_, batch_rows_, prune_spec(),
-                                        sinks);
+  return std::make_unique<ConcatReader>(table_, batch_rows_, &cache_hits_,
+                                        &cache_misses_);
 }
 
 }  // namespace optrules::dist

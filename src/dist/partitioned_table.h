@@ -22,7 +22,6 @@
 #include "dist/manifest.h"
 #include "storage/columnar_batch.h"
 #include "storage/relation.h"
-#include "storage/scan_prune.h"
 #include "storage/schema.h"
 
 namespace optrules::dist {
@@ -109,16 +108,6 @@ Result<PartitionedTable> PartitionCsv(const std::string& csv_path,
                                       const std::string& dir,
                                       const PartitionOptions& options);
 
-/// True when the manifest's per-partition stats prove partition `p` dead
-/// under `spec`: some listed numeric column is all-NaN there, or some
-/// condition conjunct is all-false, for EVERY unit of the spec -- the
-/// partition can contribute nothing but its row count. Tables written
-/// before per-partition stats existed (has_partition_stats == false) are
-/// never pruned. Used by the concatenating reader and the distributed
-/// coordinator, which must agree on what "dead" means.
-bool PartitionIsDead(const PartitionedTable& table,
-                     const storage::ScanPruneSpec& spec, int p);
-
 /// Sequential batch source over a whole partitioned table: partitions are
 /// concatenated in manifest order (the same order the coordinator merges
 /// partials). This is what boundary planning streams; counting goes
@@ -126,12 +115,9 @@ bool PartitionIsDead(const PartitionedTable& table,
 /// logical scans here via NoteScanStarted so `scans_started()` keeps
 /// meaning "times the data was read" for partitioned sessions too.
 ///
-/// An installed ScanPruneSpec flows two ways: partitions the manifest's
-/// per-partition stats prove dead are skipped wholesale (accounted as
-/// partitions_skipped + pruned rows), and the spec is re-installed on each
-/// live partition's PagedFileBatchSource so its zone maps prune pages too.
-/// SourceStats() aggregates the partition sources' cache and pruning
-/// counters.
+/// The reader prunes nothing: an installed ScanPruneSpec is ignored
+/// (partition pruning is the coordinator's, before dispatch). SourceStats()
+/// aggregates the partition sources' cache counters.
 class PartitionedTableBatchSource : public storage::BatchSource {
  public:
   explicit PartitionedTableBatchSource(
@@ -146,8 +132,6 @@ class PartitionedTableBatchSource : public storage::BatchSource {
     storage::BatchSourceStats stats;
     stats.cache_hits = cache_hits_.load();
     stats.cache_misses = cache_misses_.load();
-    stats.pages_skipped = pages_skipped_.load();
-    stats.partitions_skipped = partitions_skipped_.load();
     return stats;
   }
 
@@ -159,8 +143,6 @@ class PartitionedTableBatchSource : public storage::BatchSource {
   int64_t batch_rows_;
   std::atomic<int64_t> cache_hits_{0};
   std::atomic<int64_t> cache_misses_{0};
-  std::atomic<int64_t> pages_skipped_{0};
-  std::atomic<int64_t> partitions_skipped_{0};
 };
 
 }  // namespace optrules::dist

@@ -15,9 +15,9 @@
 // Worker partials are always the serial (pool == nullptr) chain: a pure
 // function of (partition file, spec), which is what makes the
 // coordinator's fixed-order merge deterministic for ANY worker count and
-// worker kind -- and what makes retry, failover, and speculative
-// re-execution safe: every re-run of a partition produces the same bits,
-// so the coordinator can merge whichever attempt finishes first.
+// worker kind -- and what makes retry and failover safe: every re-run of
+// a partition produces the same bits, so the coordinator can merge
+// whichever attempt succeeds.
 //
 // Failure semantics: a worker whose transport broke (dead pipe, truncated
 // or garbage frame, deadline expiry) reports healthy() == false and must

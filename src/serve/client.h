@@ -46,9 +46,6 @@ class MiningClient {
   /// Round-trips a kPing.
   Status Ping();
 
-  /// Fetches the server's counter snapshot.
-  Result<ServerStatsSnapshot> Stats();
-
   /// Fetches the server process's full metrics-registry snapshot
   /// (kMetricsRequest/kMetricsReply): every counter, gauge, and histogram
   /// the daemon's subsystems report, not just the serve-layer counters.

@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <set>
 #include <utility>
 
 #include "common/bytes.h"
@@ -29,23 +30,31 @@ namespace optrules::serve {
 
 namespace {
 
-/// Registry instruments mirroring the ServerStatsSnapshot counters (so
-/// kMetricsReply and kStatsResult tell one story), plus the latency
-/// distributions only the registry carries.
+/// The service's one tally: registry instruments, shipped to clients by
+/// kMetricsReply. Counters are monotone, so a session is never
+/// re-classified once counted.
 struct ServeMetrics {
   obs::Counter* sessions_admitted;
+  /// Admission-control refusals: rejected_connection_limit +
+  /// rejected_admission (queue-deadline expiries happen after admission
+  /// and count in sessions_failed instead).
   obs::Counter* sessions_rejected;
+  /// Sessions answered by an executed batch, committed before the replies
+  /// are written. A session whose reply write then fails (client gone or
+  /// wedged) stays here AND counts in sessions_failed.
   obs::Counter* sessions_served;
+  /// Sessions replied to with kServeError, plus failed reply writes.
   obs::Counter* sessions_failed;
-  obs::Counter* physical_scans;
+  obs::Counter* physical_scans;      ///< counting scans actually run
+  /// Sessions served without a counting scan of their own.
   obs::Counter* coalesced_sessions;
-  obs::Counter* batches_executed;
-  obs::Counter* engine_cache_hits;
-  obs::Counter* engine_cache_misses;
-  obs::Counter* rejected_connection_limit;
-  obs::Counter* rejected_admission;
-  obs::Counter* rejected_queue_deadline;
-  obs::Gauge* engines_cached;
+  obs::Counter* batches_executed;     ///< coalescing windows flushed
+  obs::Counter* engine_cache_hits;    ///< batch reused a resident engine
+  obs::Counter* engine_cache_misses;  ///< batch had to build an engine
+  obs::Counter* rejected_connection_limit;  ///< connection cap at accept
+  obs::Counter* rejected_admission;   ///< session cap or shutting down
+  obs::Counter* rejected_queue_deadline;  ///< deadline expired while queued
+  obs::Gauge* engines_cached;         ///< generations currently resident
   obs::Histogram* queue_wait_seconds;
   obs::Histogram* window_seconds;
 
@@ -73,10 +82,23 @@ struct ServeMetrics {
   }
 };
 
+/// Per-tenant counter names one server mints at most; registry entries
+/// are permanent, so without a cap a client varying its options would
+/// grow the daemon's memory and every kMetricsReply without bound.
+constexpr size_t kMaxTenantCounters = 64;
+
 /// Per-tenant served-session counter, keyed by the options fingerprint
-/// (the coalescing tenant identity). Dynamic lookup: the registry mutex
+/// (the coalescing tenant identity). `minted` holds the fingerprints this
+/// server has named; a new one past kMaxTenantCounters counts in
+/// serve.tenant.other.sessions_served. Dynamic lookup: the registry mutex
 /// is fine at once-per-batch frequency.
-obs::Counter* TenantSessionsCounter(uint64_t fingerprint) {
+obs::Counter* TenantSessionsCounter(uint64_t fingerprint,
+                                    std::set<uint64_t>* minted) {
+  if (minted->size() >= kMaxTenantCounters && !minted->contains(fingerprint)) {
+    return obs::MetricsRegistry::Default().GetCounter(
+        "serve.tenant.other.sessions_served");
+  }
+  minted->insert(fingerprint);
   char name[64];
   std::snprintf(name, sizeof(name), "serve.tenant.%016llx.sessions_served",
                 static_cast<unsigned long long>(fingerprint));
@@ -349,11 +371,6 @@ void MiningServer::Stop() {
   }
 }
 
-ServerStatsSnapshot MiningServer::Stats() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return stats_;
-}
-
 void MiningServer::AcceptLoop() {
   for (;;) {
     pollfd probe{listen_fd_, POLLIN, 0};
@@ -386,11 +403,6 @@ void MiningServer::AcceptLoop() {
       }
     }
     if (!admitted) {
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.sessions_rejected;
-        ++stats_.rejected_connection_limit;
-      }
       ServeMetrics::Get().sessions_rejected->Add();
       ServeMetrics::Get().rejected_connection_limit->Add();
       WriteError(conn, 0,
@@ -418,12 +430,6 @@ void MiningServer::HandleConnection(std::shared_ptr<Connection> conn) {
             &pong, static_cast<uint8_t>(ServeFrameKind::kPong));
         pong.insert(pong.end(), payload.begin() + 1, payload.end());
         (void)conn->writer.Write(pong);
-        break;
-      }
-      case ServeFrameKind::kStats: {
-        std::vector<uint8_t> out;
-        EncodeStatsResult(Stats(), &out);
-        (void)conn->writer.Write(out);
         break;
       }
       case ServeFrameKind::kMetricsRequest: {
@@ -505,19 +511,10 @@ void MiningServer::HandleOpenSession(const std::shared_ptr<Connection>& conn,
     }
   }
   if (!refusal.ok()) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.sessions_rejected;
-      ++stats_.rejected_admission;
-    }
     ServeMetrics::Get().sessions_rejected->Add();
     ServeMetrics::Get().rejected_admission->Add();
     WriteError(conn, session_id, refusal);
     return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.sessions_admitted;
   }
   ServeMetrics::Get().sessions_admitted->Add();
 }
@@ -570,10 +567,6 @@ void MiningServer::ExecuteBatch(const EngineKey& key, Batch batch) {
   const int64_t start_ms = NowMs();
   for (PendingSession& session : batch.sessions) {
     if (start_ms - session.enqueue_ms > session.deadline_ms) {
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.rejected_queue_deadline;
-      }
       ServeMetrics::Get().rejected_queue_deadline->Add();
       FailSession(session.conn, session.session_id,
                   Status::DeadlineExceeded("session deadline expired in "
@@ -642,18 +635,9 @@ void MiningServer::ExecuteBatch(const EngineKey& key, Batch batch) {
     scan_delta = engine->counting_scans() - scans_before;
 
     // Commit the batch's counters BEFORE shipping replies: a client
-    // holding its answer must see a stats snapshot that includes the batch
-    // that produced it (the load harness and tests read stats immediately
-    // after a reply). Write failures are re-classified below.
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      stats_.sessions_served += static_cast<int64_t>(live.size());
-      stats_.physical_scans += scan_delta;
-      stats_.coalesced_sessions += std::max<int64_t>(
-          0, static_cast<int64_t>(live.size()) - scan_delta);
-      ++stats_.batches_executed;
-      stats_.engines_cached = static_cast<int64_t>(engines_.size());
-    }
+    // holding its answer must see a snapshot that includes the batch that
+    // produced it (the load harness and tests read the registry right
+    // after a reply).
     const ServeMetrics& metrics = ServeMetrics::Get();
     metrics.sessions_served->Add(static_cast<int64_t>(live.size()));
     metrics.physical_scans->Add(scan_delta);
@@ -661,7 +645,7 @@ void MiningServer::ExecuteBatch(const EngineKey& key, Batch batch) {
         std::max<int64_t>(0, static_cast<int64_t>(live.size()) - scan_delta));
     metrics.batches_executed->Add();
     metrics.engines_cached->Set(static_cast<double>(engines_.size()));
-    TenantSessionsCounter(key.options_fingerprint)
+    TenantSessionsCounter(key.options_fingerprint, &tenant_fingerprints_)
         ->Add(static_cast<int64_t>(live.size()));
     window_span.AddAttribute("physical_scans",
                              static_cast<double>(scan_delta));
@@ -680,13 +664,6 @@ void MiningServer::ExecuteBatch(const EngineKey& key, Batch batch) {
     }
   }
   if (write_failures > 0) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      stats_.sessions_served -= write_failures;
-      stats_.sessions_failed += write_failures;
-    }
-    // Registry counters are monotone, so the served mirror keeps the
-    // optimistic count; only the failure counter records the loss.
     ServeMetrics::Get().sessions_failed->Add(write_failures);
   }
 }
@@ -696,17 +673,9 @@ Result<MiningServer::CachedEngine*> MiningServer::GetOrCreateEngine(
   for (auto it = engines_.begin(); it != engines_.end(); ++it) {
     if (it->first == key) {
       engines_.splice(engines_.begin(), engines_, it);
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.engine_cache_hits;
-      }
       ServeMetrics::Get().engine_cache_hits->Add();
       return engines_.front().second.get();
     }
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.engine_cache_misses;
   }
   ServeMetrics::Get().engine_cache_misses->Add();
   Result<dist::PartitionedTable> table_or =
@@ -726,10 +695,6 @@ Result<MiningServer::CachedEngine*> MiningServer::GetOrCreateEngine(
 
 void MiningServer::FailSession(const std::shared_ptr<Connection>& conn,
                                uint32_t session_id, const Status& status) {
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.sessions_failed;
-  }
   ServeMetrics::Get().sessions_failed->Add();
   WriteError(conn, session_id, status);
 }

@@ -15,7 +15,7 @@
 // Threading model:
 //   * accept thread  -- polls the listen socket, admits connections.
 //   * handler thread -- one per connection, the connection's ONLY reader:
-//     decodes frames, answers pings/stats inline, enqueues sessions.
+//     decodes frames, answers pings/metrics inline, enqueues sessions.
 //   * scheduler thread -- the only owner of batches and engines: flushes
 //     due windows, runs the shared sessions, writes result frames.
 // Replies and inline answers target the same socket from different
@@ -41,6 +41,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <span>
 #include <string>
 #include <thread>
@@ -107,9 +108,6 @@ class MiningServer {
   /// sessions, unblocks and joins every connection thread, releases the
   /// engine cache (terminating subprocess worker rosters). Idempotent.
   void Stop();
-
-  /// Snapshot of the service counters (also served as kStatsResult).
-  ServerStatsSnapshot Stats() const;
 
  private:
   struct Connection;
@@ -188,9 +186,9 @@ class MiningServer {
   /// Engines are touched ONLY by the scheduler thread (and Stop after the
   /// scheduler joined), so they need no lock of their own.
   std::list<std::pair<EngineKey, std::unique_ptr<CachedEngine>>> engines_;
-
-  mutable std::mutex stats_mu_;
-  ServerStatsSnapshot stats_;
+  /// Options fingerprints this server has minted a per-tenant counter
+  /// for; scheduler thread only, like engines_.
+  std::set<uint64_t> tenant_fingerprints_;
 };
 
 }  // namespace optrules::serve

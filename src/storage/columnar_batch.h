@@ -75,8 +75,8 @@ class BatchReader {
   virtual bool Next(ColumnarBatch* batch) = 0;
 
   /// Rows this reader skipped so far because the source's installed
-  /// ScanPruneSpec proved they cannot contribute (zone-map page pruning,
-  /// manifest partition pruning). The executor adds them back into the
+  /// ScanPruneSpec proved they cannot contribute (zone-map page pruning).
+  /// The executor adds them back into the
   /// plan via MultiCountPlan::AddSkippedRows, so pruned results stay
   /// bit-identical to the unpruned reference.
   virtual int64_t pruned_rows() const { return 0; }
@@ -144,10 +144,10 @@ class BatchSource {
 
   /// Installs (or clears, with nullptr) the prune requirements of the scan
   /// about to run; readers created while a spec is installed may skip
-  /// provably non-contributing pages/partitions (they account the rows via
+  /// provably non-contributing pages (they account the rows via
   /// pruned_rows()). Install BEFORE creating readers and clear after the
   /// last reader died -- the spec is not synchronized against concurrent
-  /// readers. Sources without page/partition stats simply ignore it.
+  /// readers. Sources without zone maps simply ignore it.
   void InstallPruneSpec(std::shared_ptr<const ScanPruneSpec> spec) {
     prune_spec_ = std::move(spec);
   }

@@ -21,9 +21,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -38,6 +40,7 @@
 #include "datagen/table_generator.h"
 #include "dist/coordinator.h"
 #include "dist/fault_injection.h"
+#include "dist/manifest.h"
 #include "dist/partitioned_table.h"
 #include "dist/scan_worker.h"
 #include "fuzz_seed.h"
@@ -1036,8 +1039,8 @@ TEST(DistDifferentialFuzzTest, FaultInjectedScanMatchesSingleRelation) {
   // the transport broken so the respawn path runs); subprocess rounds
   // arm a token-gated daemon fault (crash, torn frame, garbage frame,
   // error frame, heartbeat-backed stall, or silent hang) that exactly
-  // one forked daemon claims. Random scheduling mode and speculative
-  // tail make sure stealing and duplicate discard never change bits.
+  // one forked daemon claims. A random worker count makes sure stealing
+  // never changes bits.
   Rng rng(FuzzSeed(55502));
   const bool have_workerd = !dist::ResolveWorkerdPath("").empty();
   static const char* kDaemonFaults[] = {
@@ -1073,10 +1076,6 @@ TEST(DistDifferentialFuzzTest, FaultInjectedScanMatchesSingleRelation) {
     scan_options.max_workers = 1 + static_cast<int>(rng.NextBounded(
         static_cast<uint64_t>(partition_options.num_partitions)));
     scan_options.batch_rows = 64 + static_cast<int64_t>(rng.NextBounded(500));
-    scan_options.scheduling = rng.NextBernoulli(0.5)
-                                  ? dist::ScanScheduling::kWorkQueue
-                                  : dist::ScanScheduling::kStatic;
-    scan_options.speculative_tail = rng.NextBernoulli(0.25);
     scan_options.liveness_timeout_ms = 500;  // kills hung daemons fast
 
     const bool subprocess_round = have_workerd && round % 2 == 1;
@@ -1140,6 +1139,167 @@ TEST(DistDifferentialFuzzTest, FaultInjectedScanMatchesSingleRelation) {
   // Across the sweep the injected faults must actually have exercised
   // the retry machinery (heartbeat-backed stalls legitimately do not).
   EXPECT_GT(total_retries, 0);
+}
+
+std::string ReadText(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+void WriteText(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << text;
+}
+
+std::vector<std::string> TextLines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+std::string JoinLines(const std::vector<std::string>& lines) {
+  std::string text;
+  for (const std::string& line : lines) text += line + "\n";
+  return text;
+}
+
+/// A manifest ReadManifest accepted must be internally consistent: every
+/// per-section count agrees with the schema and partition list it decoded.
+void ExpectManifestRevalidates(const dist::PartitionManifest& manifest,
+                               int iteration) {
+  const storage::Schema& schema = manifest.schema;
+  const size_t partitions = manifest.partitions.size();
+  EXPECT_GE(schema.num_attributes(), 1) << iteration;
+  EXPECT_GE(partitions, 1u) << iteration;
+  EXPECT_EQ(manifest.schema_hash, dist::SchemaHash(schema)) << iteration;
+  EXPECT_EQ(manifest.numeric_stats.size(),
+            static_cast<size_t>(schema.num_numeric()))
+      << iteration;
+  EXPECT_EQ(manifest.partition_numeric_stats.size(),
+            partitions * static_cast<size_t>(schema.num_numeric()))
+      << iteration;
+  EXPECT_EQ(manifest.partition_boolean_stats.size(),
+            partitions * static_cast<size_t>(schema.num_boolean()))
+      << iteration;
+  for (const dist::PartitionInfo& partition : manifest.partitions) {
+    EXPECT_GE(partition.num_rows, 0) << iteration;
+    EXPECT_FALSE(partition.file.empty()) << iteration;
+  }
+}
+
+// The manifest is the one text format a partitioned table trusts from
+// disk. Mutations of a real manifest -- bit flips, deleted lines,
+// truncations, extensions and hostile section counts -- must decode to a
+// Status or to a manifest whose counts re-validate; never a crash, and
+// never an allocation sized by a hostile count (ASan reports both). A
+// manifest without its per-partition stats sections is corrupt.
+TEST(DistDifferentialFuzzTest, ManifestMutationsNeverCrash) {
+  Rng rng(FuzzSeed(55503));
+  const std::string dir = testing::TempDir() + "/fuzz_manifest_table";
+  const std::string mutated_dir = testing::TempDir() + "/fuzz_manifest";
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(mutated_dir);
+  std::filesystem::create_directories(mutated_dir);
+  dist::PartitionOptions options;
+  options.num_partitions = 2 + static_cast<int>(rng.NextBounded(4));
+  ASSERT_TRUE(
+      dist::PartitionRelation(RandomNanRelation(rng), dir, options).ok());
+  const std::string valid = ReadText(dir + "/" + dist::kManifestFileName);
+  const std::vector<std::string> valid_lines = TextLines(valid);
+  const std::string mutated_path =
+      mutated_dir + "/" + dist::kManifestFileName;
+
+  // Stripped of the per-partition sections: Corruption, not a manifest
+  // that silently never prunes.
+  std::vector<std::string> stripped;
+  for (const std::string& line : valid_lines) {
+    if (line.rfind("pnstat ", 0) == 0 || line.rfind("pn ", 0) == 0 ||
+        line.rfind("pbstat ", 0) == 0 || line.rfind("pb ", 0) == 0) {
+      continue;
+    }
+    stripped.push_back(line);
+  }
+  ASSERT_LT(stripped.size(), valid_lines.size());
+  WriteText(mutated_path, JoinLines(stripped));
+  EXPECT_EQ(dist::ReadManifest(mutated_dir).status().code(),
+            StatusCode::kCorruption);
+
+  static const char* kCountHeaders[] = {"attributes", "partitions", "stats",
+                                        "pnstat", "pbstat"};
+  static const char* kHostileCounts[] = {"2147483647", "-1", "0",
+                                         "1000000000", "99999999999"};
+  int accepted = 0;
+  for (int iteration = 0; iteration < 600; ++iteration) {
+    std::string text = valid;
+    std::vector<std::string> lines = valid_lines;
+    switch (rng.NextBounded(5)) {
+      case 0: {  // bit flips
+        const int flips = 1 + static_cast<int>(rng.NextBounded(4));
+        for (int f = 0; f < flips; ++f) {
+          const size_t at = rng.NextBounded(text.size());
+          text[at] = static_cast<char>(
+              text[at] ^ static_cast<char>(1u << rng.NextBounded(8)));
+        }
+        break;
+      }
+      case 1: {  // line deletions
+        const int deletions = 1 + static_cast<int>(rng.NextBounded(3));
+        for (int d = 0; d < deletions && !lines.empty(); ++d) {
+          lines.erase(lines.begin() +
+                      static_cast<std::ptrdiff_t>(
+                          rng.NextBounded(lines.size())));
+        }
+        text = JoinLines(lines);
+        break;
+      }
+      case 2:  // truncation
+        text.resize(rng.NextBounded(text.size()));
+        break;
+      case 3: {  // extensions: a duplicated line, or trailing garbage
+        if (rng.NextBernoulli(0.5)) {
+          const size_t at = rng.NextBounded(lines.size());
+          lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(at),
+                       lines[rng.NextBounded(lines.size())]);
+          text = JoinLines(lines);
+        } else {
+          const int extra = 1 + static_cast<int>(rng.NextBounded(64));
+          for (int e = 0; e < extra; ++e) {
+            text.push_back(static_cast<char>(rng.NextBounded(256)));
+          }
+        }
+        break;
+      }
+      default: {  // a hostile count in one section header
+        const std::string header = kCountHeaders[rng.NextBounded(5)];
+        for (std::string& line : lines) {
+          if (line.rfind(header + " ", 0) == 0) {
+            line = header + " " + kHostileCounts[rng.NextBounded(5)];
+            break;
+          }
+        }
+        text = JoinLines(lines);
+        break;
+      }
+    }
+    WriteText(mutated_path, text);
+    const Result<dist::PartitionManifest> read =
+        dist::ReadManifest(mutated_dir);
+    if (read.ok()) {
+      ++accepted;
+      ExpectManifestRevalidates(read.value(), iteration);
+    } else {
+      EXPECT_EQ(read.status().code(), StatusCode::kCorruption)
+          << iteration << ": " << read.status().ToString();
+    }
+  }
+  // Some mutations are benign (a flipped bit inside a stat payload or a
+  // file name), so the accepting path runs too.
+  EXPECT_GT(accepted, 0);
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(mutated_dir);
 }
 
 }  // namespace

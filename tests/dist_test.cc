@@ -19,15 +19,12 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -241,36 +238,19 @@ std::function<Result<std::unique_ptr<ScanWorker>>()> FaultyWorkerFactory(
   };
 }
 
-/// A fault pinned to ONE partition instead of to one worker: whichever
-/// worker of a roster first scans `path` fires it (`armed` is one-shot and
+/// A transport death pinned to ONE partition instead of to one worker:
+/// whichever worker of a roster first scans `path` fails that scan and
+/// breaks its transport (the in-process kill -9; `armed` is one-shot and
 /// shared by the roster). The work queue lets any idle slot claim any
 /// unstarted partition, so a fault keyed to one worker's call ordinal
 /// (FaultyWorkerFactory) never fires when the faulty worker's peers drain
 /// the queue first; a fault keyed to a partition fires on every schedule.
-/// Also counts the scans launched per partition path.
 struct PinnedFault {
-  enum class Kind {
-    /// Fails the scan and breaks the worker's transport (in-process kill -9).
-    kTransportDeath,
-    /// Holds the scan until a second scan of the same partition -- the
-    /// speculative duplicate -- has returned, then scans normally.
-    kStraggleUntilDuplicate,
-  };
-  PinnedFault(std::string pinned_path, Kind fault_kind)
-      : path(std::move(pinned_path)), kind(fault_kind) {}
-
-  int launches_of(const std::string& partition_path) {
-    std::lock_guard<std::mutex> lock(mu);
-    return launches[partition_path];
-  }
+  explicit PinnedFault(std::string pinned_path)
+      : path(std::move(pinned_path)) {}
 
   const std::string path;
-  const Kind kind;
   std::atomic<bool> armed{true};
-  std::mutex mu;
-  std::condition_variable cv;
-  bool duplicate_returned = false;      // guarded by mu
-  std::map<std::string, int> launches;  // guarded by mu
 };
 
 class PinnedFaultScanWorker final : public ScanWorker {
@@ -282,32 +262,11 @@ class PinnedFaultScanWorker final : public ScanWorker {
       const std::string& partition_path, const PartitionScanSpec& spec,
       storage::BatchSourceStats* stats) override {
     if (!healthy_) return Status::IoError("pinned-fault worker is down");
-    {
-      std::lock_guard<std::mutex> lock(fault_->mu);
-      ++fault_->launches[partition_path];
+    if (partition_path == fault_->path && fault_->armed.exchange(false)) {
+      healthy_ = false;
+      return Status::IoError("injected transport death");
     }
-    const bool pinned = partition_path == fault_->path;
-    if (pinned && fault_->armed.exchange(false)) {
-      if (fault_->kind == PinnedFault::Kind::kTransportDeath) {
-        healthy_ = false;
-        return Status::IoError("injected transport death");
-      }
-      // Bounded, so a coordinator that never speculates fails the
-      // launch-count assertions instead of hanging the test.
-      std::unique_lock<std::mutex> lock(fault_->mu);
-      fault_->cv.wait_for(lock, std::chrono::seconds(30),
-                          [this] { return fault_->duplicate_returned; });
-      lock.unlock();
-      return inner_.CountPartition(partition_path, spec, stats);
-    }
-    Result<bucketing::MultiCountPlan> result =
-        inner_.CountPartition(partition_path, spec, stats);
-    if (pinned) {
-      std::lock_guard<std::mutex> lock(fault_->mu);
-      fault_->duplicate_returned = true;
-      fault_->cv.notify_all();
-    }
-    return result;
+    return inner_.CountPartition(partition_path, spec, stats);
   }
   bool healthy() const override { return healthy_; }
 
@@ -340,6 +299,14 @@ TEST(ManifestTest, RoundTripsSchemaPartitionsAndStats) {
   manifest.partitions = {{"part-00000.optr", 5}, {"part-00001.optr", 7}};
   manifest.numeric_stats = {{-1.5, 2.25},
                             {0.1, std::numeric_limits<double>::infinity()}};
+  // Partition-major: partition 1's "age" is all-NaN (the empty sentinel).
+  manifest.partition_numeric_stats = {
+      {-1.5, 2.25},
+      {0.1, 7.0},
+      {std::numeric_limits<double>::infinity(),
+       -std::numeric_limits<double>::infinity()},
+      {0.5, std::numeric_limits<double>::infinity()}};
+  manifest.partition_boolean_stats = {{0, 1}, {1, 0}};
   ASSERT_TRUE(WriteManifest(manifest, dir).ok());
 
   Result<PartitionManifest> read = ReadManifest(dir);
@@ -354,6 +321,23 @@ TEST(ManifestTest, RoundTripsSchemaPartitionsAndStats) {
   EXPECT_EQ(read.value().numeric_stats[0].min_value, -1.5);
   EXPECT_EQ(read.value().numeric_stats[0].max_value, 2.25);
   EXPECT_TRUE(std::isinf(read.value().numeric_stats[1].max_value));
+  EXPECT_EQ(read.value().PartitionNumeric(0, 1).max_value, 7.0);
+  EXPECT_TRUE(std::isinf(read.value().PartitionNumeric(1, 0).min_value));
+  EXPECT_EQ(read.value().PartitionBoolean(0, 0).max_value, 1);
+  EXPECT_EQ(read.value().PartitionBoolean(1, 0).min_value, 1);
+  EXPECT_EQ(read.value().PartitionBoolean(1, 0).max_value, 0);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ManifestTest, WriteRejectsMissingPartitionStats) {
+  const std::string dir = TempDir("manifest_no_pstats");
+  ASSERT_TRUE(std::filesystem::create_directories(dir));
+  PartitionManifest manifest;
+  manifest.schema = storage::Schema::Synthetic(2, 1);
+  manifest.partitions = {{"part-00000.optr", 1}};
+  manifest.numeric_stats.resize(2);
+  EXPECT_EQ(WriteManifest(manifest, dir).code(),
+            StatusCode::kInvalidArgument);
   std::filesystem::remove_all(dir);
 }
 
@@ -364,6 +348,8 @@ TEST(ManifestTest, RejectsTamperedSchema) {
   manifest.schema = storage::Schema::Synthetic(2, 1);
   manifest.partitions = {{"part-00000.optr", 1}};
   manifest.numeric_stats.resize(2);
+  manifest.partition_numeric_stats.resize(2);
+  manifest.partition_boolean_stats.resize(1);
   ASSERT_TRUE(WriteManifest(manifest, dir).ok());
   // Flip one attribute name in the manifest text.
   const std::string path = dir + "/" + kManifestFileName;
@@ -1003,7 +989,6 @@ TEST(CoordinatorTest, ManifestPruningSkipsDeadPartitionsBitExactly) {
   options.num_partitions = 4;
   Result<PartitionedTable> table = PartitionRelation(relation, dir, options);
   ASSERT_TRUE(table.ok()) << table.status().ToString();
-  ASSERT_TRUE(table.value().manifest().has_partition_stats);
 
   std::vector<WorkerKind> kinds = {WorkerKind::kInProcess};
   if (!ResolveWorkerdPath("").empty()) {
@@ -1115,8 +1100,7 @@ TEST(FaultToleranceTest, InProcessWorkerCrashFailsOverBitExactly) {
     options.max_workers = 3;
     options.worker_factory =
         PinnedFaultFactory(std::make_shared<PinnedFault>(
-            fixture.table.value().PartitionPath(0),
-            PinnedFault::Kind::kTransportDeath));
+            fixture.table.value().PartitionPath(0)));
     DistributedScanCoordinator coordinator(&fixture.table.value(), options);
     MultiCountPlan plan(fixture.spec);
     ASSERT_TRUE(coordinator.Execute(&plan).ok());
@@ -1299,59 +1283,6 @@ TEST(FaultToleranceTest, IdleWorkersStealFromStragglers) {
   EXPECT_EQ(coordinator.scan_stats().workers_respawned, 0);
 }
 
-/// The legacy static schedule never steals: the same straggler setup
-/// completes with partitions_stolen == 0 (and the same bits).
-TEST(FaultToleranceTest, StaticSchedulingNeverSteals) {
-  FaultFixture fixture(1000, 45, 8, "fault_static");
-  DistributedScanOptions options;
-  options.max_workers = 2;
-  options.scheduling = ScanScheduling::kStatic;
-  options.worker_factory =
-      FaultyWorkerFactory(0, {{.at_call = 0, .delay_ms = 200}});
-  DistributedScanCoordinator coordinator(&fixture.table.value(), options);
-  MultiCountPlan plan(fixture.spec);
-  ASSERT_TRUE(coordinator.Execute(&plan).ok());
-  ExpectPlansIdentical(plan, fixture.reference);
-  EXPECT_EQ(coordinator.scan_stats().partitions_stolen, 0);
-}
-
-/// Speculative tail execution: the last in-flight partition is re-run by
-/// an idle worker; the first bit-exact partial wins and the duplicate is
-/// discarded, never double-merged (the bit-identity check would catch
-/// doubled counts immediately).
-TEST(FaultToleranceTest, SpeculativeTailDuplicateIsDiscarded) {
-  FaultFixture fixture(800, 47, 3, "fault_speculative");
-  DistributedScanOptions options;
-  options.max_workers = 3;
-  options.speculative_tail = true;
-  // The first scan of partition 0 (whichever slot claims it) straggles
-  // until its speculative duplicate has returned. The other slots finish
-  // their partitions, go idle with the queue empty, and exactly one of
-  // them re-runs partition 0 (speculation is one-shot per partition).
-  // Whichever copy lands second is discarded.
-  const std::string straggler = fixture.table.value().PartitionPath(0);
-  auto fault = std::make_shared<PinnedFault>(
-      straggler, PinnedFault::Kind::kStraggleUntilDuplicate);
-  options.worker_factory = PinnedFaultFactory(fault);
-  DistributedScanCoordinator coordinator(&fixture.table.value(), options);
-  MultiCountPlan plan(fixture.spec);
-  ASSERT_TRUE(coordinator.Execute(&plan).ok());
-  // Bit-identity is the double-merge detector: a duplicate partial merged
-  // twice would double partition 0's counts.
-  ExpectPlansIdentical(plan, fixture.reference);
-  // Partition 0 ran exactly twice: the straggler plus one duplicate. A
-  // loaded host may also speculate another slow partition, but never
-  // more than once.
-  EXPECT_EQ(fault->launches_of(straggler), 2);
-  for (int p = 1; p < 3; ++p) {
-    const int launches =
-        fault->launches_of(fixture.table.value().PartitionPath(p));
-    EXPECT_GE(launches, 1) << "partition " << p;
-    EXPECT_LE(launches, 2) << "partition " << p;
-  }
-  EXPECT_EQ(coordinator.scan_stats().retries, 0);
-}
-
 /// Retry budget: a partition that fails on every attempt eventually
 /// fails the scan with ITS error, after exactly the configured number of
 /// attempts.
@@ -1457,8 +1388,7 @@ TEST(FaultToleranceTest, EngineScanStatsExposeFaultCounters) {
   scan_options.max_workers = 2;
   scan_options.worker_factory =
       PinnedFaultFactory(std::make_shared<PinnedFault>(
-          table.value().PartitionPath(0),
-          PinnedFault::Kind::kTransportDeath));
+          table.value().PartitionPath(0)));
   rules::MinerOptions options;
   options.num_buckets = 12;
   rules::MiningEngine engine(&table.value(), options, scan_options);
